@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import curry, focus_apply
+from .focus import _focus_amps, curry, focus_apply
 from .gates import Gate, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_pair, lens_single
 from .oracle import check_dense_size
-from .state import State, all_basis_tuples, ket, zero_state
+from .state import State, zero_state
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,12 @@ class Circuit:
         return Circuit(lens.n, steps, self.q)
 
     def to_gate(self, max_bits: int | None = None) -> Gate:
-        """Collapse to a dense gate (guarded; intended for small circuits only)."""
-        check_dense_size(self.n, self.q, max_bits)
-        cols = [self.run(ket(v, self.q)).amps for v in all_basis_tuples(self.n, self.q)]
-        return Gate(np.column_stack(cols), self.n, self.n, self.q)
+        """Collapse to a dense gate, one batched pass per step over all basis kets
+        (guarded; intended for small circuits only)."""
+        amps = np.eye(check_dense_size(self.n, self.q, max_bits), dtype=np.complex128)
+        for step in self.steps:
+            amps = _focus_amps(step.lens, step.gate, amps)
+        return Gate(amps, self.n, self.n, self.q)
 
 
 def bit_flip_encoder() -> Circuit:

@@ -13,13 +13,15 @@ Circuit file format (JSON):
       ]
     }
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+Custom gate names are unique and may not be builtin gate names.  Exit codes:
+0 success, 1 check failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +36,7 @@ from .errors import (
     UnknownExample,
     UnknownGate,
 )
-from .gates import Gate, builtin
+from .gates import Gate, builtin, builtin_names
 from .lens import Lens
 from .state import State, ket, state_from_text, state_to_text
 
@@ -70,7 +72,12 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
         loc = f"{where}.gates[{gi}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ParseError(f"{loc}: expected an object with a string 'name'")
-        table[entry["name"]] = _parse_custom_gate(entry, q, loc)
+        name = entry["name"]
+        if name.strip().split("(")[0] in builtin_names():
+            raise ParseError(f"{loc}.name: {name!r} is reserved for a builtin gate")
+        if name in table:
+            raise ParseError(f"{loc}.name: duplicate gate name {name!r}")
+        table[name] = _parse_custom_gate(entry, q, loc)
 
     raw_ops = doc.get("ops")
     if not isinstance(raw_ops, list):
@@ -113,14 +120,20 @@ def _parse_custom_gate(entry: dict, q: int, loc: str) -> Gate:
     dim = q**wires
     if not isinstance(flat, list) or len(flat) != dim * dim:
         raise ParseError(f"{loc}.matrix: expected {dim * dim} [re, im] pairs")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
     for k, pair in enumerate(flat):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
-            raise ParseError(f"{loc}.matrix[{k}]: expected [re, im]")
-        col, row = divmod(k, dim)  # column-major flattening
-        mat[row, col] = complex(pair[0], pair[1])
-    return Gate(mat, wires, wires, q)
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_finite, pair)):
+            raise ParseError(f"{loc}.matrix[{k}]: expected [re, im] finite numbers")
+    # Row j of the (dim, dim) view is column j of the gate (column-major).
+    cols = np.array(flat, dtype=np.float64).view(np.complex128).reshape(dim, dim)
+    return Gate(cols.T, wires, wires, q)
+
+
+def _is_finite(x: object) -> bool:
+    """A JSON number (bools excluded) that converts to a finite float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def circuit_to_spec(circ: circuits.Circuit) -> dict:
@@ -153,8 +166,7 @@ def _load_input(value: str, circ: circuits.Circuit) -> State:
 def _cmd_run(args: argparse.Namespace) -> int:
     circ = parse_circuit(args.circuit)
     state = _load_input(args.input, circ)
-    workers = os.cpu_count() if args.parallel else None
-    final = circ.run(state, workers=workers)
+    final = circ.run(state)
     text = state_to_text(final, threshold=args.threshold)
     if text:
         print(text)
@@ -219,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold", type=float, default=0.0,
                      help="suppress amplitudes below this magnitude")
     run.add_argument("--parallel", action="store_true",
-                     help="split gate application across CPU threads")
+                     help="accepted for compatibility; BLAS threads every gate")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="run a verification suite")

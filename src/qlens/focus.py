@@ -10,7 +10,6 @@ is differentially tested against the reference at 1e-12.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,10 +18,8 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gates import Gate, apply_to_blocks
 from .lens import Lens
-from .state import State, all_basis_tuples, ket, tuple_to_index
-
-# Below this many inner columns a thread pool costs more than it saves.
-_PARALLEL_MIN_COLS = 1 << 12
+from .oracle import check_dense_size
+from .state import State, ket, tuple_to_index
 
 
 @dataclass(frozen=True)
@@ -124,46 +121,32 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
         raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, state q={q}")
 
 
-def _gemm_grouped(mat: np.ndarray, src: np.ndarray, workers: int | None) -> np.ndarray:
-    """mat @ src, optionally splitting the complement axis over threads.
+def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:
+    """Focused action on amplitudes of shape (q**n,) or (q**n, B), unchecked.
 
-    Each worker owns a disjoint slice of columns (complement groups), so
-    writes never overlap.
+    Gather the selected axes to the front, run one q**m x q**m by
+    q**m x q**(n-m)*B matrix product, scatter back.  Index arithmetic is
+    exactly curry's merge(lens, v, w) encoding; the batch axis trails along,
+    so all B columns are acted on in the same single pass.
     """
-    cols = src.shape[1]
-    if not workers or workers <= 1 or cols < _PARALLEL_MIN_COLS:
-        return mat @ src
-    out = np.empty((mat.shape[0], cols), dtype=np.complex128)
-    bounds = np.linspace(0, cols, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [
-            pool.submit(np.matmul, mat, src[:, lo:hi], out=out[:, lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for job in jobs:
-            job.result()
-    return out
+    n, m, q = lens.n, lens.m, gate.q
+    shape = (q,) * n + amps.shape[1:]
+    arr = np.moveaxis(amps.reshape(shape), lens.idx, range(m))
+    src = np.ascontiguousarray(arr).reshape(q**m, -1)
+    res = np.moveaxis((gate.mat @ src).reshape(shape), range(m), lens.idx)
+    return np.ascontiguousarray(res).reshape(amps.shape)
 
 
 def focus_apply(lens: Lens, gate: Gate, state: State,
                 workers: int | None = None) -> State:
     """Apply a gate to the wires a lens selects, leaving the rest untouched.
 
-    Fast path: gather the selected axes to the front (a strided view), run
-    one q**m x q**m by q**m x q**(n-m) matrix product, scatter back.  Index
-    arithmetic is exactly curry's merge(lens, v, w) encoding, without
-    materializing per-block copies beyond the single reshape.
+    ``workers`` is accepted for compatibility and ignored: the matrix
+    product already runs on the BLAS library's threads.
     """
     _check_focus_shapes(lens, state)
     _check_gate(lens, gate, state.q)
-    n, m, q = lens.n, lens.m, state.q
-    arr = state.amps.reshape((q,) * n)
-    arr = np.moveaxis(arr, lens.idx, range(m))
-    src = np.ascontiguousarray(arr).reshape(q**m, q ** (n - m))
-    res = _gemm_grouped(gate.mat, src, workers)
-    res = np.moveaxis(res.reshape((q,) * n), range(m), lens.idx)
-    return State(n, q, np.ascontiguousarray(res).reshape(q**n), _trusted=True)
+    return State(lens.n, state.q, _focus_amps(lens, gate, state.amps), _trusted=True)
 
 
 def focus_apply_reference(lens: Lens, gate: Gate, state: State) -> State:
@@ -189,10 +172,11 @@ def focus_on_basis(lens: Lens, gate: Gate, v: Sequence[int]) -> State:
 def focus_as_gate(lens: Lens, gate: Gate) -> Gate:
     """Collapse a focused gate to its dense matrix at the ambient arity.
 
-    Column j is the focused action on the j-th basis vector; intended for
-    small ambient sizes (monoid bookkeeping, circuit collapse).
+    Column j is the focused action on the j-th basis vector, computed for
+    all columns at once by focusing the identity (guarded; intended for
+    small ambient sizes: monoid bookkeeping, circuit collapse).
     """
     _check_gate(lens, gate, gate.q)
-    q, n = gate.q, lens.n
-    cols = [focus_apply(lens, gate, ket(v, q)).amps for v in all_basis_tuples(n, q)]
-    return Gate(np.column_stack(cols), n, n, q)
+    dim = check_dense_size(lens.n, gate.q)
+    return Gate(_focus_amps(lens, gate, np.eye(dim, dtype=np.complex128)),
+                lens.n, lens.n, gate.q)

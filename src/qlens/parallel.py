@@ -15,10 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import focus_apply, focus_as_gate
+from .focus import _focus_amps, focus_apply, focus_as_gate
 from .gates import Gate, identity, null
 from .lens import Lens, lens_empty, lens_id, lens_left, lens_right
-from .state import State, all_basis_tuples, ket
+from .oracle import check_dense_size
+from .state import State
 
 
 class FocusedGate:
@@ -98,15 +99,11 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     """Side-by-side gate on f.wires + g.wires wires, built by focusing, not kron."""
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
-    p, s = f.wires, g.wires
-    left, right = lens_left(p, s), lens_right(p, s)
-    q = f.q
-    cols = []
-    for v in all_basis_tuples(p + s, q):
-        st = focus_apply(right, g, ket(v, q))
-        st = focus_apply(left, f, st)
-        cols.append(st.amps)
-    return Gate(np.column_stack(cols), p + s, p + s, q)
+    p, s, q = f.wires, g.wires, f.q
+    amps = np.eye(check_dense_size(p + s, q), dtype=np.complex128)
+    amps = _focus_amps(lens_right(p, s), g, amps)
+    amps = _focus_amps(lens_left(p, s), f, amps)
+    return Gate(amps, p + s, p + s, q)
 
 
 def combine(a: FocusedGate, b: FocusedGate) -> FocusedGate:

@@ -8,6 +8,7 @@ computational basis.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -187,11 +188,10 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
     """
     if state.q > 10:
         raise ShapeMismatch(f"text format supports q <= 10, got q={state.q}")
+    mag = np.abs(state.amps)
+    keep = np.flatnonzero(~((mag == 0.0) | (mag < threshold)))
     lines = []
-    for i, a in enumerate(state.amps):
-        mag = abs(a)
-        if mag == 0.0 or mag < threshold:
-            continue
+    for i, a in zip(keep.tolist(), state.amps[keep]):
         digits = "".join(str(d) for d in index_to_tuple(i, state.n, state.q))
         lines.append(f"{digits} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines)
@@ -222,13 +222,17 @@ def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
         except IndexOutOfRange as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         try:
-            amps[pos] = complex(float(re_s), float(im_s))
+            re_v, im_v = float(re_s), float(im_s)
         except ValueError:
             raise ParseError(f"line {lineno}: bad amplitude {re_s!r} {im_s!r}") from None
+        if not (math.isfinite(re_v) and math.isfinite(im_v)):
+            raise ParseError(f"line {lineno}: amplitude {re_s!r} {im_s!r} is not finite")
+        if pos in amps:
+            raise ParseError(f"line {lineno}: duplicate entry for {digits!r}")
+        amps[pos] = complex(re_v, im_v)
     if arity is None:
         raise ParseError("state file contains no entries and no arity was given")
     dim = check_allocation(arity, q)
     a = np.zeros(dim, dtype=np.complex128)
-    for pos, val in amps.items():
-        a[pos] = val
+    a[list(amps)] = list(amps.values())
     return State(arity, q, a, _trusted=True)

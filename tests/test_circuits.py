@@ -11,6 +11,7 @@ from qlens import (
     SizeGuardExceeded,
     Step,
     all_basis_tuples,
+    build_full_matrix,
     cnot,
     focus_apply,
     focus_as_gate,
@@ -73,6 +74,57 @@ class TestCircuitType:
     def test_to_gate_guard(self):
         with pytest.raises(SizeGuardExceeded):
             Circuit(15, ()).to_gate()
+
+
+def shor_code():
+    comps = shor_components()
+    return Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
+
+
+EXAMPLES = {
+    "shor": shor_code,
+    "ghz": lambda: ghz_circuit(4),
+    "reversal": lambda: reversal_circuit(6),
+}
+
+
+class TestBatchedCollapse:
+    """to_gate and focus_as_gate collapse in one batched pass per step."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_example_collapses_match_oracle(self, name):
+        circ = EXAMPLES[name]()
+        product = np.eye(2**circ.n, dtype=complex)
+        for step in circ.steps:
+            dense = build_full_matrix(step.lens, step.gate).mat
+            assert np.max(np.abs(focus_as_gate(step.lens, step.gate).mat - dense)) <= 1e-10
+            product = dense @ product
+        assert np.max(np.abs(circ.to_gate().mat - product)) <= 1e-10
+
+    @pytest.mark.parametrize("circ", [ghz_circuit(3), reversal_circuit(5),
+                                      shor_components()["sign_flip_dec"]],
+                             ids=["ghz", "reversal", "sign_flip_dec"])
+    def test_to_gate_columns_match_per_ket_runs(self, circ):
+        mat = circ.to_gate().mat
+        for j, v in enumerate(all_basis_tuples(circ.n)):
+            assert np.max(np.abs(mat[:, j] - circ.run(ket(v)).amps)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_to_gate_random_unsorted_steps(self, q):
+        rng = np.random.default_rng(SEED)
+        n = 4 if q == 2 else 3
+        steps = tuple(
+            Step(lens, random_gate(lens.m, rng, q))
+            for lens in (random_lens(n, int(rng.integers(1, 4)), rng) for _ in range(6))
+        )
+        circ = Circuit(n, steps, q)
+        mat = circ.to_gate().mat
+        product = np.eye(q**n, dtype=complex)
+        for step in steps:
+            product = build_full_matrix(step.lens, step.gate).mat @ product
+        assert np.max(np.abs(mat - product)) <= 1e-10
+        for j, v in enumerate(all_basis_tuples(n, q)):
+            assert np.max(np.abs(mat[:, j] - circ.run(ket(v, q)).amps)) <= 1e-12
 
 
 class TestShorComponents:

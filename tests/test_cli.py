@@ -112,6 +112,38 @@ class TestParseCircuit:
         with pytest.raises(ParseError, match=r"gates\[0\]"):
             parse_circuit(circuit_file(doc))
 
+    @pytest.mark.parametrize("entry", [
+        [float("nan"), 0.0], [0.0, float("inf")], [True, 0.0], [0.0, False],
+        [10**400, 0.0], ["1", 0.0]])
+    def test_custom_gate_entry_must_be_finite_number(self, circuit_file, entry):
+        # json.dumps writes NaN / Infinity, which json.loads accepts by default
+        doc = {
+            "wires": 1,
+            "gates": [{"name": "u", "wires": 1,
+                       "matrix": [[1.0, 0.0], entry, [0.0, 0.0], [1.0, 0.0]]}],
+            "ops": [],
+        }
+        with pytest.raises(ParseError, match=r"gates\[0\]\.matrix\[1\]"):
+            parse_circuit(circuit_file(doc))
+
+    @pytest.mark.parametrize("name", ["hadamard", " cnot", "identity(2)", "null"])
+    def test_custom_gate_may_not_shadow_builtin(self, circuit_file, name):
+        doc = {
+            "wires": 1,
+            "gates": [{"name": name, "wires": 1,
+                       "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}],
+            "ops": [{"gate": name, "lens": [0]}],
+        }
+        with pytest.raises(ParseError, match=r"gates\[0\]\.name"):
+            parse_circuit(circuit_file(doc))
+
+    def test_duplicate_custom_gate_name(self, circuit_file):
+        gate = {"name": "u", "wires": 1,
+                "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+        doc = {"wires": 1, "gates": [gate, gate], "ops": []}
+        with pytest.raises(ParseError, match=r"gates\[1\]\.name"):
+            parse_circuit(circuit_file(doc))
+
 
 class TestRunCommand:
     def test_bit_flip_instance(self, circuit_file, capsys):

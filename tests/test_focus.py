@@ -11,7 +11,10 @@ from qlens import (
     Gate,
     Lens,
     ShapeMismatch,
+    SizeGuardExceeded,
+    State,
     all_basis_tuples,
+    build_full_matrix,
     cnot,
     compose,
     curry,
@@ -31,6 +34,7 @@ from qlens import (
     uncurry,
     zero_state,
 )
+from qlens.focus import _focus_amps
 from _helpers import max_entry, random_gate, random_lens
 
 SEED = 424242
@@ -236,6 +240,60 @@ class TestFocusOnBasis:
             v = tuple(int(x) for x in rng.integers(0, 2, size=n))
             dev = focus_on_basis(lens, g, v).max_dev(focus_apply(lens, g, ket(v)))
             assert dev <= 1e-12
+
+
+def batch_cases(q, rng, count=6):
+    """Seeded (lens, gate) pairs: one fixed unsorted lens, then random lenses."""
+    cases = [(Lens(3, (2, 0)), random_gate(2, rng, q))]
+    for _ in range(count):
+        n = int(rng.integers(1, 6 if q == 2 else 4))
+        m = int(rng.integers(0, min(3, n) + 1))
+        cases.append((random_lens(n, m, rng), random_gate(m, rng, q)))
+    return cases
+
+
+class TestBatchAxis:
+    """_focus_amps on (q**n, B) amplitudes acts on every column at once."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_columns_match_single_state_paths_and_oracle(self, q):
+        rng = np.random.default_rng(SEED)
+        for lens, g in batch_cases(q, rng):
+            dim = q**lens.n
+            dense = build_full_matrix(lens, g).mat
+            for b in (1, 5, dim):
+                amps = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
+                got = _focus_amps(lens, g, amps)
+                assert got.shape == (dim, b)
+                for j in range(b):
+                    s = State(lens.n, q, amps[:, j])
+                    assert max_entry(got[:, j], focus_apply(lens, g, s).amps) <= 1e-12
+                    ref = focus_apply_reference(lens, g, s)
+                    assert max_entry(got[:, j], ref.amps) <= 1e-12
+                assert max_entry(got, dense @ amps) <= 1e-10
+
+    def test_input_left_untouched(self):
+        rng = np.random.default_rng(SEED)
+        amps = rng.standard_normal((16, 3)) + 0j
+        before = amps.copy()
+        _focus_amps(Lens(4, (3, 1)), random_gate(2, rng), amps)
+        assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_focus_as_gate_columns(self, q):
+        rng = np.random.default_rng(SEED)
+        for lens, g in batch_cases(q, rng):
+            mat = focus_as_gate(lens, g).mat
+            for j, v in enumerate(all_basis_tuples(lens.n, q)):
+                col = focus_apply(lens, g, ket(v, q)).amps
+                assert max_entry(mat[:, j], col) <= 1e-12
+                ref = focus_apply_reference(lens, g, ket(v, q)).amps
+                assert max_entry(mat[:, j], ref) <= 1e-12
+            assert max_entry(mat, build_full_matrix(lens, g).mat) <= 1e-10
+
+    def test_focus_as_gate_size_guard(self):
+        with pytest.raises(SizeGuardExceeded):
+            focus_as_gate(Lens(15, (0,)), hadamard())
 
 
 class TestFocusAlgebra:

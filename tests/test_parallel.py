@@ -4,23 +4,31 @@ import pytest
 from qlens import (
     Lens,
     ShapeMismatch,
+    SizeGuardExceeded,
     all_basis_tuples,
+    build_full_matrix,
     cnot,
     combine,
     combine_all,
     compose_actions,
     error_focused,
     focus_apply,
+    focus_apply_reference,
     focused,
+    ghz_circuit,
     gate_from_matrix,
     hadamard,
     identity,
     identity_focused,
     ket,
+    lens_left,
     lens_pair,
+    lens_right,
     lens_single,
     parallel_gate,
     random_state,
+    reversal_circuit,
+    shor_components,
     swap,
 )
 from _helpers import random_gate
@@ -142,6 +150,39 @@ class TestParallelGate:
     def test_identity_blocks(self):
         pg = parallel_gate(identity(1), identity(2))
         assert np.array_equal(pg.mat, np.eye(8))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_columns_match_per_ket_reference_and_oracle(self, q):
+        rng = np.random.default_rng(SEED)
+        shapes = ((1, 1), (2, 1), (1, 2)) if q == 3 else ((1, 2), (2, 2), (3, 1))
+        for p, s in shapes:
+            f, g = random_gate(p, rng, q), random_gate(s, rng, q)
+            left, right = lens_left(p, s), lens_right(p, s)
+            pg = parallel_gate(f, g).mat
+            for j, v in enumerate(all_basis_tuples(p + s, q)):
+                col = focus_apply(left, f, focus_apply(right, g, ket(v, q))).amps
+                assert np.max(np.abs(pg[:, j] - col)) <= 1e-12
+                ref = focus_apply_reference(
+                    left, f, focus_apply_reference(right, g, ket(v, q))).amps
+                assert np.max(np.abs(pg[:, j] - ref)) <= 1e-12
+            want = build_full_matrix(left, f).mat @ build_full_matrix(right, g).mat
+            assert np.max(np.abs(pg - want)) <= 1e-10
+
+    @pytest.mark.parametrize("left_name,right_name", [
+        ("sign_flip_enc", "ghz"), ("reversal", "bit_flip_dec"), ("ghz", "reversal")])
+    def test_examples_match_oracle(self, left_name, right_name):
+        examples = {"ghz": ghz_circuit(2), "reversal": reversal_circuit(4),
+                    **shor_components()}
+        f = examples[left_name].to_gate()
+        g = examples[right_name].to_gate()
+        p, s = f.wires, g.wires
+        want = (build_full_matrix(lens_left(p, s), f).mat
+                @ build_full_matrix(lens_right(p, s), g).mat)
+        assert np.max(np.abs(parallel_gate(f, g).mat - want)) <= 1e-10
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardExceeded):
+            parallel_gate(identity(8), identity(7))
 
 
 class TestCombineAll:

@@ -186,6 +186,41 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             state_from_text(text)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("0 nan 0\n1 inf 0", 1),
+            ("0 0.5 0\n1 0 -inf", 2),
+            ("0 1e400 0", 1),
+        ],
+    )
+    def test_non_finite_amplitude_rejected(self, text, line):
+        with pytest.raises(ParseError, match=rf"line {line}: .*not finite"):
+            state_from_text(text)
+
+    def test_duplicate_basis_line_rejected(self):
+        with pytest.raises(ParseError, match=r"line 3: duplicate entry for '01'"):
+            state_from_text("01 0.5 0\n10 0.5 0\n01 0.25 0")
+
+    def test_text_matches_per_amplitude_rule(self):
+        # Kept lines follow the rule "drop if |a| == 0 or |a| < threshold",
+        # applied one amplitude at a time.
+        rng = np.random.default_rng(SEED)
+        for q, n in ((2, 4), (3, 3)):
+            amps = random_state(n, q, rng).amps.copy()
+            amps[rng.random(amps.size) < 0.3] = 0
+            amps[::4] *= 1e-3
+            s = State(n, q, amps)
+            # abs(amps).max() sits exactly on the boundary: that entry is kept.
+            for threshold in (0.0, 0.05, 0.2, float(np.abs(amps).max()), math.inf):
+                want = [
+                    "".join(map(str, index_to_tuple(i, n, q)))
+                    + f" {float(a.real)!r} {float(a.imag)!r}"
+                    for i, a in enumerate(amps)
+                    if not (abs(a) == 0.0 or abs(a) < threshold)
+                ]
+                assert state_to_text(s, threshold) == "\n".join(want)
+
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
             state_from_text("")
