@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _focus_amps, curry, focus_apply
-from .gates import Gate, cnot, hadamard, swap, toffoli
+from .focus import _focus_steps, curry
+from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
+from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_pair, lens_single
-from .oracle import check_dense_size
 from .state import State, zero_state
 
 
@@ -48,13 +48,18 @@ class Circuit:
                 raise ShapeMismatch(f"step {k}: gate q={step.gate.q}, circuit q={self.q}")
 
     def run(self, state: State, workers: int | None = None) -> State:
+        """Apply every step, keeping the state curried between them.
+
+        ``workers`` is accepted for compatibility and ignored: the matrix
+        products already run on the BLAS library's threads.
+        """
         if state.n != self.n or state.q != self.q:
             raise ShapeMismatch(
                 f"circuit on ({self.n}, q={self.q}) run on ({state.n}, q={state.q})"
             )
-        for step in self.steps:
-            state = focus_apply(step.lens, step.gate, state, workers)
-        return state
+        pairs = ((s.lens, s.gate) for s in self.steps)
+        return State(self.n, self.q, _focus_steps(self.n, self.q, pairs, state.amps),
+                     _trusted=True)
 
     def embedded(self, lens: Lens) -> Circuit:
         """Reinterpret this circuit as steps of a larger one along a lens."""
@@ -64,12 +69,11 @@ class Circuit:
         return Circuit(lens.n, steps, self.q)
 
     def to_gate(self, max_bits: int | None = None) -> Gate:
-        """Collapse to a dense gate, one batched pass per step over all basis kets
-        (guarded; intended for small circuits only)."""
-        amps = np.eye(check_dense_size(self.n, self.q, max_bits), dtype=np.complex128)
-        for step in self.steps:
-            amps = _focus_amps(step.lens, step.gate, amps)
-        return Gate(amps, self.n, self.n, self.q)
+        """Collapse to a dense gate by running every step once on all basis kets
+        at once (guarded; intended for small circuits only)."""
+        eye = np.eye(check_dense_size(self.n, self.q, max_bits), dtype=np.complex128)
+        pairs = ((s.lens, s.gate) for s in self.steps)
+        return Gate(_focus_steps(self.n, self.q, pairs, eye), self.n, self.n, self.q)
 
 
 def bit_flip_encoder() -> Circuit:

@@ -33,10 +33,10 @@ from .errors import (
     ArityMismatch,
     ParseError,
     QLensError,
+    SizeGuardExceeded,
     UnknownExample,
-    UnknownGate,
 )
-from .gates import Gate, builtin, builtin_names
+from .gates import Gate, builtin, builtin_names, check_dense_size
 from .lens import Lens
 from .state import State, ket, state_from_text, state_to_text
 
@@ -61,7 +61,7 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
     if not isinstance(q, int) or q < 2:
         raise ParseError(f"{where}.qudit_dim: expected an integer >= 2, got {q!r}")
     wires = doc.get("wires")
-    if not isinstance(wires, int) or wires < 1:
+    if type(wires) is not int or wires < 1:
         raise ParseError(f"{where}.wires: expected a positive integer, got {wires!r}")
 
     table: dict[str, Gate] = {}
@@ -73,7 +73,7 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ParseError(f"{loc}: expected an object with a string 'name'")
         name = entry["name"]
-        if name.strip().split("(")[0] in builtin_names():
+        if _is_builtin_name(name):
             raise ParseError(f"{loc}.name: {name!r} is reserved for a builtin gate")
         if name in table:
             raise ParseError(f"{loc}.name: duplicate gate name {name!r}")
@@ -91,7 +91,7 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
         if not isinstance(name, str):
             raise ParseError(f"{loc}.gate: expected a gate name")
         raw_lens = op.get("lens")
-        if not isinstance(raw_lens, list) or not all(isinstance(i, int) for i in raw_lens):
+        if not isinstance(raw_lens, list) or any(type(i) is not int for i in raw_lens):
             raise ParseError(f"{loc}.lens: expected an integer array")
         try:
             lens = Lens(wires, tuple(raw_lens))
@@ -102,8 +102,8 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
         else:
             try:
                 gate = builtin(name, q)
-            except UnknownGate:
-                raise UnknownGate(f"{loc}.gate: unknown gate {name!r}") from None
+            except QLensError as exc:
+                raise type(exc)(f"{loc}.gate: {exc}") from None
         if gate.wires_in != lens.m:
             raise ArityMismatch(
                 f"{loc}: gate {name!r} acts on {gate.wires_in} wires, lens has {lens.m}"
@@ -114,10 +114,13 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
 
 def _parse_custom_gate(entry: dict, q: int, loc: str) -> Gate:
     wires = entry.get("wires")
-    if not isinstance(wires, int) or wires < 0:
+    if type(wires) is not int or wires < 0:
         raise ParseError(f"{loc}.wires: expected a non-negative integer")
+    try:
+        dim = check_dense_size(wires, q)
+    except SizeGuardExceeded as exc:
+        raise SizeGuardExceeded(f"{loc}.wires: {exc}") from None
     flat = entry.get("matrix")
-    dim = q**wires
     if not isinstance(flat, list) or len(flat) != dim * dim:
         raise ParseError(f"{loc}.matrix: expected {dim * dim} [re, im] pairs")
     for k, pair in enumerate(flat):
@@ -136,14 +139,39 @@ def _is_finite(x: object) -> bool:
         return False
 
 
+def _is_builtin_name(name: str) -> bool:
+    return name.strip().split("(")[0] in builtin_names()
+
+
 def circuit_to_spec(circ: circuits.Circuit) -> dict:
-    """Inverse of circuit_from_spec for circuits whose steps carry names."""
+    """Inverse of circuit_from_spec for circuits whose steps carry names.
+
+    A step named after a builtin must carry that builtin's matrix; every other
+    name is written once under "gates" with its matrix, column-major.
+    """
+    table: dict[str, Gate] = {}
     ops = []
-    for step in circ.steps:
-        if step.name is None:
+    for k, step in enumerate(circ.steps):
+        name = step.name
+        if name is None:
             raise ParseError("circuit step has no gate name; cannot serialize")
-        ops.append({"gate": step.name, "lens": list(step.lens.idx)})
-    return {"qudit_dim": circ.q, "wires": circ.n, "ops": ops}
+        if _is_builtin_name(name):
+            known = builtin(name, circ.q)
+        else:
+            known = table.setdefault(name, step.gate)
+        if not np.array_equal(known.mat, step.gate.mat):
+            raise ParseError(f"steps[{k}]: gate {name!r} differs from the gate of that "
+                             f"name; cannot serialize")
+        ops.append({"gate": name, "lens": list(step.lens.idx)})
+    doc: dict = {"qudit_dim": circ.q, "wires": circ.n}
+    if table:
+        doc["gates"] = [
+            {"name": name, "wires": gate.wires,
+             "matrix": [[float(z.real), float(z.imag)] for z in gate.mat.T.ravel()]}
+            for name, gate in table.items()
+        ]
+    doc["ops"] = ops
+    return doc
 
 
 def _load_input(value: str, circ: circuits.Circuit) -> State:

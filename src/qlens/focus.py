@@ -11,14 +11,13 @@ is differentially tested against the reference at 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .gates import Gate, apply_to_blocks
+from .gates import Gate, apply_to_blocks, check_dense_size
 from .lens import Lens
-from .oracle import check_dense_size
 from .state import State, ket, tuple_to_index
 
 
@@ -121,20 +120,48 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
         raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, state q={q}")
 
 
-def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:
-    """Focused action on amplitudes of shape (q**n,) or (q**n, B), unchecked.
+def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
+                 amps: np.ndarray) -> np.ndarray:
+    """Focused action of (lens, gate) steps, left to right, on amplitudes of
+    shape (q**n,) or (q**n, B), unchecked.
 
-    Gather the selected axes to the front, run one q**m x q**m by
-    q**m x q**(n-m)*B matrix product, scatter back.  Index arithmetic is
-    exactly curry's merge(lens, v, w) encoding; the batch axis trails along,
-    so all B columns are acted on in the same single pass.
+    The state stays curried between steps; ``order[k]`` is the wire held on
+    axis k.  A step gathers its lens wires to the front with one copy (none
+    when they already lead in lens order) and runs one q**m x q**m by
+    q**m x q**(n-m)*B matrix product.  Index arithmetic is exactly curry's
+    merge(lens, v, w) encoding, the untouched wires keeping their current
+    relative order.  The wire order is restored once at the end.  Copies and
+    products alternate between two buffers; ``amps`` is never written and the
+    batch axis trails along untouched.
     """
-    n, m, q = lens.n, lens.m, gate.q
     shape = (q,) * n + amps.shape[1:]
-    arr = np.moveaxis(amps.reshape(shape), lens.idx, range(m))
-    src = np.ascontiguousarray(arr).reshape(q**m, -1)
-    res = np.moveaxis((gate.mat @ src).reshape(shape), range(m), lens.idx)
-    return np.ascontiguousarray(res).reshape(amps.shape)
+    batch = list(range(n, len(shape)))
+    bufs = (np.empty(amps.shape, np.complex128), np.empty(amps.shape, np.complex128))
+    cur, order = amps, list(range(n))
+
+    def gather(wires: list[int]) -> None:
+        nonlocal cur, order
+        dst = bufs[1] if cur is bufs[0] else bufs[0]
+        axes = [order.index(w) for w in wires]
+        np.copyto(dst.reshape(shape), cur.reshape(shape).transpose(axes + batch))
+        cur, order = dst, wires
+
+    for lens, gate in steps:
+        wires = list(lens.idx)
+        if order[:lens.m] != wires:
+            gather(wires + [w for w in order if w not in lens.idx])
+        dst = bufs[1] if cur is bufs[0] else bufs[0]
+        rows = q**lens.m
+        np.matmul(gate.mat, cur.reshape(rows, -1), out=dst.reshape(rows, -1))
+        cur = dst
+    if order != list(range(n)):
+        gather(list(range(n)))
+    return amps.copy() if cur is amps else cur
+
+
+def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:
+    """One focused step on amplitudes of shape (q**n,) or (q**n, B), unchecked."""
+    return _focus_steps(lens.n, gate.q, ((lens, gate),), amps)
 
 
 def focus_apply(lens: Lens, gate: Gate, state: State,

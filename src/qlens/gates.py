@@ -14,12 +14,25 @@ import re
 
 import numpy as np
 
-from .errors import ShapeMismatch, UnknownGate, UnsupportedAlphabet
+from .errors import ShapeMismatch, SizeGuardExceeded, UnknownGate, UnsupportedAlphabet
 from .state import State
 
 # Correctly rounded 1/sqrt(2); sqrt(0.5) is exact to the last ulp while
 # 1/sqrt(2) picks up a second rounding.
 _SQRT2_INV = math.sqrt(0.5)
+
+# Dense operators are capped at n*log2(q) <= 14 wire-bits by default.
+MAX_DENSE_BITS = 14
+
+
+def check_dense_size(n: int, q: int, max_bits: int | None = None) -> int:
+    limit = MAX_DENSE_BITS if max_bits is None else max_bits
+    # For q >= 2, n > limit already decides it: q**n may be too big to compute.
+    if (q > 1 and n > limit) or q**n > 2**limit:
+        raise SizeGuardExceeded(
+            f"dense operator on {n} wires with q={q} exceeds the 2**{limit} guard"
+        )
+    return q**n
 
 
 def _wires_of(dim: int, q: int, what: str) -> int:
@@ -133,11 +146,12 @@ def swap(q: int = 2) -> Gate:
 
 
 def identity(k: int = 1, q: int = 2) -> Gate:
-    return Gate(np.eye(q**k, dtype=np.complex128), k, k, q)
+    return Gate(np.eye(check_dense_size(k, q), dtype=np.complex128), k, k, q)
 
 
 def null(k: int = 1, q: int = 2) -> Gate:
-    return Gate(np.zeros((q**k, q**k), dtype=np.complex128), k, k, q)
+    dim = check_dense_size(k, q)
+    return Gate(np.zeros((dim, dim), dtype=np.complex128), k, k, q)
 
 
 def _require_qubits(name: str, q: int) -> None:

@@ -14,24 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidPermutation, ShapeMismatch, SizeGuardExceeded
-from .gates import Gate
+from .errors import InvalidPermutation, ShapeMismatch
+from .gates import Gate, check_dense_size
 from .lens import Lens
 from .state import State, random_state
-
-# Dense operators are capped at n*log2(q) <= 14 wire-bits by default.
-MAX_DENSE_BITS = 14
-
-
-def check_dense_size(n: int, q: int, max_bits: int | None = None) -> int:
-    limit = MAX_DENSE_BITS if max_bits is None else max_bits
-    dim = q**n
-    if dim > 2**limit:
-        raise SizeGuardExceeded(
-            f"dense operator on {n} wires (dim {dim}) exceeds 2**{limit} guard"
-        )
-    return dim
-
 
 @dataclass(frozen=True)
 class DenseOperator:

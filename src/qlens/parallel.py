@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _focus_amps, focus_apply, focus_as_gate
-from .gates import Gate, identity, null
+from .focus import _focus_steps, focus_apply, focus_as_gate
+from .gates import Gate, check_dense_size, identity, null
 from .lens import Lens, lens_empty, lens_id, lens_left, lens_right
-from .oracle import check_dense_size
 from .state import State
 
 
@@ -100,10 +99,9 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
     p, s, q = f.wires, g.wires, f.q
-    amps = np.eye(check_dense_size(p + s, q), dtype=np.complex128)
-    amps = _focus_amps(lens_right(p, s), g, amps)
-    amps = _focus_amps(lens_left(p, s), f, amps)
-    return Gate(amps, p + s, p + s, q)
+    eye = np.eye(check_dense_size(p + s, q), dtype=np.complex128)
+    steps = ((lens_right(p, s), g), (lens_left(p, s), f))
+    return Gate(_focus_steps(p + s, q, steps, eye), p + s, p + s, q)
 
 
 def combine(a: FocusedGate, b: FocusedGate) -> FocusedGate:

@@ -14,6 +14,7 @@ from qlens import (
     build_full_matrix,
     cnot,
     focus_apply,
+    focus_apply_reference,
     focus_as_gate,
     ghz_circuit,
     ghz_state,
@@ -27,7 +28,7 @@ from qlens import (
     toffoli,
     zero_state,
 )
-from _helpers import random_gate, random_lens
+from _helpers import random_gate, random_lens, random_steps
 
 SEED = 60609
 
@@ -125,6 +126,36 @@ class TestBatchedCollapse:
         assert np.max(np.abs(mat - product)) <= 1e-10
         for j, v in enumerate(all_basis_tuples(n, q)):
             assert np.max(np.abs(mat[:, j] - circ.run(ket(v, q)).amps)) <= 1e-12
+
+
+class TestCurriedRun:
+    """Circuit.run keeps the state curried across its steps."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_random_circuits_match_reference_and_oracle(self, q):
+        rng = np.random.default_rng(SEED)
+        n = 5 if q == 2 else 4
+        for _ in range(4):
+            circ = Circuit(n, tuple(Step(lens, g) for lens, g in random_steps(n, q, rng)), q)
+            s = random_state(n, q, rng)
+            before = s.amps.copy()
+            out = circ.run(s)
+            assert np.array_equal(s.amps, before)
+            assert not np.shares_memory(out.amps, s.amps)
+            assert not out.amps.flags.writeable
+            ref, product = s, np.eye(q**n, dtype=complex)
+            for step in circ.steps:
+                ref = focus_apply_reference(step.lens, step.gate, ref)
+                product = build_full_matrix(step.lens, step.gate).mat @ product
+            assert out.max_dev(ref) <= 1e-12
+            assert np.max(np.abs(out.amps - product @ s.amps)) <= 1e-10
+
+    def test_empty_circuit_returns_fresh_readonly_copy(self):
+        s = random_state(3, 2, np.random.default_rng(SEED))
+        out = Circuit(3, ()).run(s)
+        assert np.array_equal(out.amps, s.amps)
+        assert not np.shares_memory(out.amps, s.amps)
+        assert not out.amps.flags.writeable
 
 
 class TestShorComponents:

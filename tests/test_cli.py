@@ -2,17 +2,34 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlens import (
     ArityMismatch,
+    Circuit,
     DuplicateIndex,
     IndexOutOfRange,
+    Lens,
     ParseError,
+    QLensError,
+    SizeGuardExceeded,
+    Step,
     UnknownGate,
+    builtin,
+    hadamard,
     ket,
     state_to_text,
 )
-from qlens.cli import circuit_to_spec, example_circuit, main, parse_circuit
+from qlens.cli import (
+    circuit_from_spec,
+    circuit_to_spec,
+    example_circuit,
+    main,
+    parse_circuit,
+)
+from qlens.gates import builtin_names
+from _helpers import random_gate, random_lens
 
 BIT_FLIP_ENC = {
     "wires": 3,
@@ -144,6 +161,73 @@ class TestParseCircuit:
         with pytest.raises(ParseError, match=r"gates\[1\]\.name"):
             parse_circuit(circuit_file(doc))
 
+    @pytest.mark.parametrize("name", ["identity(40)", "null(40)"])
+    def test_oversized_parametric_builtin(self, circuit_file, name):
+        doc = {"wires": 2, "ops": [{"gate": name, "lens": [0]}]}
+        with pytest.raises(SizeGuardExceeded, match=r"ops\[0\]\.gate"):
+            parse_circuit(circuit_file(doc))
+
+    def test_oversized_custom_gate(self):
+        doc = {"wires": 1, "ops": [],
+               "gates": [{"name": "u", "wires": 20000, "matrix": [[1.0, 0.0]]}]}
+        with pytest.raises(SizeGuardExceeded, match=r"gates\[0\]\.wires"):
+            circuit_from_spec(doc)
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"wires": True, "ops": []}, r"circuit\.wires"),
+        ({"wires": 2, "ops": [{"gate": "hadamard", "lens": [True]}]}, r"ops\[0\]\.lens"),
+        ({"wires": 1, "ops": [],
+          "gates": [{"name": "u", "wires": True,
+                     "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+         r"gates\[0\]\.wires"),
+    ], ids=["wires", "lens_entry", "custom_gate_wires"])
+    def test_bool_is_not_an_integer(self, doc, field):
+        with pytest.raises(ParseError, match=field):
+            circuit_from_spec(doc)
+
+
+def custom_gate_circuit(q, seed=7):
+    """Seeded circuit mixing builtins with custom gates, one of them reused."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    gates = {"u": random_gate(1, rng, q), "v": random_gate(2, rng, q), "w": random_gate(0, rng, q)}
+    steps = [Step(random_lens(n, gates[name].wires, rng), gates[name], name)
+             for name in ("u", "v", "u", "w", "v")]
+    if q == 2:
+        steps.insert(1, Step(Lens(n, (3, 1)), builtin("cnot"), "cnot"))
+    return Circuit(n, tuple(steps), q)
+
+
+class TestSpecRoundTrip:
+    @pytest.mark.parametrize("circ", [
+        example_circuit("shor", None), example_circuit("ghz", 3), example_circuit("reverse", 6),
+        custom_gate_circuit(2), custom_gate_circuit(3),
+    ], ids=["shor", "ghz", "reverse", "custom_q2", "custom_q3"])
+    def test_reproduces_every_step(self, circ):
+        doc = json.loads(json.dumps(circuit_to_spec(circ)))
+        back = circuit_from_spec(doc)
+        assert (back.n, back.q, len(back.steps)) == (circ.n, circ.q, len(circ.steps))
+        for got, want in zip(back.steps, circ.steps):
+            assert got.lens.idx == want.lens.idx
+            assert got.name == want.name
+            assert np.array_equal(got.gate.mat, want.gate.mat)
+
+    def test_custom_gates_written_once(self):
+        doc = circuit_to_spec(custom_gate_circuit(2))
+        assert [g["name"] for g in doc["gates"]] == ["u", "v", "w"]
+        assert "gates" not in circuit_to_spec(example_circuit("ghz", 3))
+
+    def test_conflicting_matrix_for_a_name(self):
+        rng = np.random.default_rng(3)
+        lens = Lens(2, (1,))
+        twice = Circuit(2, (Step(lens, random_gate(1, rng), "u"),
+                            Step(lens, random_gate(1, rng), "u")))
+        fake = Circuit(2, (Step(lens, random_gate(1, rng), "hadamard"),))
+        for circ in (twice, fake):
+            with pytest.raises(ParseError, match="cannot serialize"):
+                circuit_to_spec(circ)
+        assert circuit_to_spec(Circuit(2, (Step(lens, hadamard(), "hadamard"),)))
+
 
 class TestRunCommand:
     def test_bit_flip_instance(self, circuit_file, capsys):
@@ -184,6 +268,11 @@ class TestRunCommand:
     def test_parse_failure_exit_code(self, circuit_file, capsys):
         path = circuit_file({"wires": 3, "ops": [{"gate": "cnot", "lens": [0, 0]}]})
         assert main(["run", path, "--input", "000"]) == 2
+
+    def test_oversized_builtin_exit_code(self, circuit_file, capsys):
+        path = circuit_file({"wires": 2, "ops": [{"gate": "identity(40)", "lens": [0]}]})
+        assert main(["run", path, "--input", "00"]) == 2
+        assert "guard" in capsys.readouterr().err
 
     def test_parallel_flag(self, circuit_file, capsys):
         path = circuit_file(BIT_FLIP_ENC)
@@ -252,3 +341,67 @@ class TestCheckCommand:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["check", "not-a-scope"]) == 2
+
+
+# Fuzzing circuit_from_spec.  Every field is valid five draws in six and
+# junk of another JSON type otherwise.  Lenses and matrices are drawn to fit
+# the document, so most documents get as far as the gate and lens checks.
+# Wire counts of dense gates skip 7..14: those pass the 2**14 dense guard at
+# q = 2 but allocate up to 4 GiB each.
+JUNK = st.sampled_from([True, None, False, -1, 1.5, float("nan"), "2", [], [True]])
+GATE_NAMES = st.one_of(
+    st.sampled_from(builtin_names() + ("u", "v")),
+    st.builds("{}({})".format, st.sampled_from(["identity", "null"]),
+              st.sampled_from([0, 1, 2, 3, 15, 40, 20000])),
+)
+
+
+def field(valid):
+    return st.integers(0, 5).flatmap(lambda r: JUNK if r == 5 else valid)
+
+
+def arity(name):
+    if name.endswith(")"):
+        return int(name[name.index("(") + 1:-1])
+    return {"cnot": 2, "swap": 2, "toffoli": 3}.get(name, 1)
+
+
+@st.composite
+def spec_doc(draw):
+    wires = draw(field(st.sampled_from([3, 1, 2, 4, 5, 6])))
+    q = draw(field(st.sampled_from([2, 3])))
+    # sizes follow the integer a junk value stands for (true is 1)
+    n = wires if isinstance(wires, int) and wires > 0 else 1
+    dim = q if isinstance(q, int) and q > 1 else 2
+    gates = []
+    for name in draw(st.lists(st.sampled_from(["u", "v", "cnot"]), max_size=2)):
+        k = draw(field(st.sampled_from([0, 1, 15, 20000])))
+        matrix = [draw(field(st.lists(field(st.floats(-2, 2)), min_size=2, max_size=2)))
+                  for _ in range(dim ** (2 * k) if k in (0, 1) else 1)]
+        gates.append({"name": draw(field(st.just(name))), "wires": k,
+                      "matrix": draw(field(st.just(matrix)))})
+    ops = []
+    for _ in range(draw(st.sampled_from([2, 1, 3, 0, 4]))):
+        name = draw(GATE_NAMES)
+        order = draw(st.permutations(range(n)))
+        lens = [draw(field(st.just(i))) for i in order[:arity(name)]]
+        ops.append({"gate": draw(field(st.just(name))), "lens": draw(field(st.just(lens)))})
+    doc = {"wires": wires, "ops": draw(field(st.just(ops)))}
+    if q != 2 or draw(st.booleans()):
+        doc["qudit_dim"] = q
+    if gates or draw(st.booleans()):
+        doc["gates"] = draw(field(st.just(gates)))
+    return doc
+
+
+@settings(max_examples=300)
+@given(field(spec_doc()))
+def test_circuit_from_spec_fuzz(doc):
+    """Every document parses into a valid circuit or raises a QLensError."""
+    try:
+        circ = circuit_from_spec(doc)
+    except QLensError:
+        return
+    assert isinstance(circ, Circuit) and type(circ.n) is int and 1 <= circ.n <= 6
+    assert all(type(i) is int for op in doc["ops"] for i in op["lens"])
+    assert all(type(g["wires"]) is int for g in doc.get("gates", []))

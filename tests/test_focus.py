@@ -34,8 +34,8 @@ from qlens import (
     uncurry,
     zero_state,
 )
-from qlens.focus import _focus_amps
-from _helpers import max_entry, random_gate, random_lens
+from qlens.focus import _focus_amps, _focus_steps
+from _helpers import max_entry, random_gate, random_lens, random_steps
 
 SEED = 424242
 
@@ -294,6 +294,57 @@ class TestBatchAxis:
     def test_focus_as_gate_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             focus_as_gate(Lens(15, (0,)), hadamard())
+
+
+class TestCurriedSteps:
+    """_focus_steps keeps the state curried from one step to the next."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_matches_stepwise_reference_and_oracle(self, q, b):
+        rng = np.random.default_rng(SEED)
+        n = 5 if q == 2 else 4
+        dim = q**n
+        for _ in range(4):
+            steps = random_steps(n, q, rng)
+            amps = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
+            before = amps.copy()
+            got = _focus_steps(n, q, steps, amps)
+            assert got.shape == (dim, b)
+            assert np.array_equal(amps, before)
+            assert not np.shares_memory(got, amps)
+            product = np.eye(dim, dtype=complex)
+            for lens, g in steps:
+                product = build_full_matrix(lens, g).mat @ product
+            assert max_entry(got, product @ amps) <= 1e-10
+            for j in range(b):
+                s = State(n, q, amps[:, j])
+                for lens, g in steps:
+                    s = focus_apply_reference(lens, g, s)
+                assert max_entry(got[:, j], s.amps) <= 1e-12
+
+    def test_leading_lens_skips_gather(self, monkeypatch):
+        # wires (0, 1) lead at the start and after themselves; (2,) needs one
+        # gather, then leads again; the final order (2, 0, 1) needs one uncurry.
+        rng = np.random.default_rng(SEED)
+        steps = [(Lens(3, (0, 1)), random_gate(2, rng)), (Lens(3, (0, 1)), random_gate(2, rng)),
+                 (Lens(3, (2,)), random_gate(1, rng)), (Lens(3, (2,)), random_gate(1, rng))]
+        amps = random_state(3, 2, rng).amps
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        monkeypatch.setattr(np, "copyto", counted("copyto"))
+        monkeypatch.setattr(np, "matmul", counted("matmul"))
+        got = _focus_steps(3, 2, steps, amps)
+        assert (calls.count("copyto"), calls.count("matmul")) == (2, 4)
+        monkeypatch.undo()
+        s = State(3, 2, amps)
+        for lens, g in steps:
+            s = focus_apply_reference(lens, g, s)
+        assert max_entry(got, s.amps) <= 1e-12
 
 
 class TestFocusAlgebra:

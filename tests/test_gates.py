@@ -7,6 +7,7 @@ import pytest
 from qlens import (
     Gate,
     ShapeMismatch,
+    SizeGuardExceeded,
     UnknownGate,
     UnsupportedAlphabet,
     apply_to_blocks,
@@ -151,6 +152,17 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(UnknownGate):
             builtin("grover")
+
+    @pytest.mark.parametrize("kind,k,q", [("identity", 40, 2), ("null", 40, 2),
+                                          ("identity", 15, 2), ("null", 9, 3),
+                                          ("identity", 20000, 2)])
+    def test_parametric_size_guard(self, kind, k, q):
+        # dimension q**k above 2**14 raises before numpy allocates anything,
+        # and before q**k grows past what an error message can print
+        with pytest.raises(SizeGuardExceeded):
+            builtin(f"{kind}({k})", q)
+        with pytest.raises(SizeGuardExceeded):
+            {"identity": identity, "null": null}[kind](k, q)
 
     def test_qutrit_hadamard_unsupported(self):
         with pytest.raises(UnsupportedAlphabet):
