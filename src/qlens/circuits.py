@@ -71,9 +71,10 @@ class Circuit:
     def to_gate(self, max_bits: int | None = None) -> Gate:
         """Collapse to a dense gate by running every step once on all basis kets
         at once (guarded; intended for small circuits only)."""
-        eye = np.eye(check_dense_size(self.n, self.q, max_bits), dtype=np.complex128)
+        check_dense_size(self.n, self.q, max_bits)
         pairs = ((s.lens, s.gate) for s in self.steps)
-        return Gate(_focus_steps(self.n, self.q, pairs, eye), self.n, self.n, self.q)
+        return Gate(_focus_steps(self.n, self.q, pairs, None), self.n, self.n, self.q,
+                    _trusted=True)
 
 
 def bit_flip_encoder() -> Circuit:

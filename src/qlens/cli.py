@@ -36,7 +36,7 @@ from .errors import (
     SizeGuardExceeded,
     UnknownExample,
 )
-from .gates import Gate, builtin, builtin_names, check_dense_size
+from .gates import Gate, builtin, builtin_names, check_dense_size, parametric_wires
 from .lens import Lens
 from .state import State, ket, state_from_text, state_to_text
 
@@ -97,19 +97,29 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
             lens = Lens(wires, tuple(raw_lens))
         except QLensError as exc:
             raise type(exc)(f"{loc}.lens: {exc}") from None
-        if name in table:
-            gate = table[name]
-        else:
-            try:
-                gate = builtin(name, q)
-            except QLensError as exc:
-                raise type(exc)(f"{loc}.gate: {exc}") from None
+        gate = table[name] if name in table else _resolve_builtin(name, q, lens, loc)
         if gate.wires_in != lens.m:
-            raise ArityMismatch(
-                f"{loc}: gate {name!r} acts on {gate.wires_in} wires, lens has {lens.m}"
-            )
+            raise _arity_mismatch(loc, name, gate.wires_in, lens)
         steps.append(circuits.Step(lens, gate, name))
     return circuits.Circuit(wires, tuple(steps), q)
+
+
+def _resolve_builtin(name: str, q: int, lens: Lens, loc: str) -> Gate:
+    """Build a builtin gate; identity(k) and null(k) meet the size guard and
+    the lens arity before their q**k x q**k matrix is allocated."""
+    k = parametric_wires(name)
+    try:
+        if k is not None:
+            check_dense_size(k, q)
+        if k in (None, lens.m):
+            return builtin(name, q)
+    except QLensError as exc:
+        raise type(exc)(f"{loc}.gate: {exc}") from None
+    raise _arity_mismatch(loc, name, k, lens)
+
+
+def _arity_mismatch(loc: str, name: str, wires: int, lens: Lens) -> ArityMismatch:
+    return ArityMismatch(f"{loc}: gate {name!r} acts on {wires} wires, lens has {lens.m}")
 
 
 def _parse_custom_gate(entry: dict, q: int, loc: str) -> Gate:

@@ -56,7 +56,11 @@ class Gate:
         wires_in: int | None = None,
         wires_out: int | None = None,
         q: int = 2,
+        *,
+        _trusted: bool = False,
     ):
+        # _trusted: the caller hands over a fresh array nobody else holds, so
+        # it is kept as is instead of copied.
         m = np.ascontiguousarray(mat, dtype=np.complex128)
         if m.ndim != 2:
             raise ShapeMismatch(f"gate matrix must be 2-D, got shape {m.shape}")
@@ -68,7 +72,7 @@ class Gate:
                 f"gate matrix {rows}x{cols} does not match q={q} with "
                 f"{out} output / {inn} input wires"
             )
-        if m is mat:
+        if m is mat and not _trusted:
             m = m.copy()
         m.setflags(write=False)
         self.mat = m
@@ -146,12 +150,12 @@ def swap(q: int = 2) -> Gate:
 
 
 def identity(k: int = 1, q: int = 2) -> Gate:
-    return Gate(np.eye(check_dense_size(k, q), dtype=np.complex128), k, k, q)
+    return Gate(np.eye(check_dense_size(k, q), dtype=np.complex128), k, k, q, _trusted=True)
 
 
 def null(k: int = 1, q: int = 2) -> Gate:
     dim = check_dense_size(k, q)
-    return Gate(np.zeros((dim, dim), dtype=np.complex128), k, k, q)
+    return Gate(np.zeros((dim, dim), dtype=np.complex128), k, k, q, _trusted=True)
 
 
 def _require_qubits(name: str, q: int) -> None:
@@ -177,11 +181,17 @@ def builtin(name: str, q: int = 2) -> Gate:
         return _BUILTINS[name](q)
     if name in ("identity", "null"):
         return identity(1, q) if name == "identity" else null(1, q)
-    match = _PARAMETRIC.match(name)
-    if match:
-        k = int(match.group(2))
-        return identity(k, q) if match.group(1) == "identity" else null(k, q)
+    k = parametric_wires(name)
+    if k is not None:
+        return identity(k, q) if name.startswith("identity") else null(k, q)
     raise UnknownGate(f"unknown gate {name!r}")
+
+
+def parametric_wires(name: str) -> int | None:
+    """k of a parametric builtin name identity(k) | null(k), read without
+    building its q**k x q**k matrix; None for every other name."""
+    match = _PARAMETRIC.match(name.strip())
+    return int(match.group(2)) if match else None
 
 
 def builtin_names() -> tuple[str, ...]:
@@ -196,7 +206,7 @@ def compose(f: Gate, g: Gate) -> Gate:
         raise ShapeMismatch(
             f"cannot compose {f.wires_in}<-... after ...->{g.wires_out}"
         )
-    return Gate(f.mat @ g.mat, g.wires_in, f.wires_out, f.q)
+    return Gate(f.mat @ g.mat, g.wires_in, f.wires_out, f.q, _trusted=True)
 
 
 def apply_to_blocks(gate: Gate, blocks: np.ndarray) -> np.ndarray:

@@ -99,9 +99,9 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
     p, s, q = f.wires, g.wires, f.q
-    eye = np.eye(check_dense_size(p + s, q), dtype=np.complex128)
+    check_dense_size(p + s, q)
     steps = ((lens_right(p, s), g), (lens_left(p, s), f))
-    return Gate(_focus_steps(p + s, q, steps, eye), p + s, p + s, q)
+    return Gate(_focus_steps(p + s, q, steps, None), p + s, p + s, q, _trusted=True)
 
 
 def combine(a: FocusedGate, b: FocusedGate) -> FocusedGate:

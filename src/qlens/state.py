@@ -33,10 +33,11 @@ def check_allocation(n: int, q: int, max_entries: int | None = None) -> int:
     if q < 1:
         raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
     limit = MAX_STATE_ENTRIES if max_entries is None else max_entries
-    dim = q**n
-    if dim > limit:
-        raise SizeGuardExceeded(f"{q}**{n} = {dim} amplitudes exceeds guard {limit}")
-    return dim
+    # For q >= 2, q**n >= 2**n > limit once n reaches limit's bit length: that
+    # decides it without q**n, which may be too big to compute or to print.
+    if (q > 1 and n >= limit.bit_length()) or q**n > limit:
+        raise SizeGuardExceeded(f"{q}**{n} amplitudes exceeds guard {limit}")
+    return q**n
 
 
 def tuple_to_index(v: Sequence[int], q: int) -> int:
@@ -213,6 +214,8 @@ def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
             arity = len(digits)
         if len(digits) != arity:
             raise ParseError(f"line {lineno}: arity {len(digits)} != {arity}")
+        if not amps:
+            check_allocation(arity, q)  # before a huge first line is read as an index
         try:
             v = tuple(int(c) for c in digits)
         except ValueError:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -126,6 +127,19 @@ class TestBatchedCollapse:
         assert np.max(np.abs(mat - product)) <= 1e-10
         for j, v in enumerate(all_basis_tuples(n, q)):
             assert np.max(np.abs(mat[:, j] - circ.run(ket(v, q)).amps)) <= 1e-12
+
+    def test_to_gate_keeps_two_matrix_sized_buffers(self):
+        # The identity is built in one of the two ping-pong buffers, and the
+        # result is not copied again: the 4 MiB Shor collapse peaks near 8 MiB.
+        comps = shor_components()
+        circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
+        tracemalloc.start()
+        try:
+            g = circ.to_gate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.mat.nbytes == 2**22 and peak < 2.25 * g.mat.nbytes
 
 
 class TestCurriedRun:

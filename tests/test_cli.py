@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ class TestParseCircuit:
         with pytest.raises(SizeGuardExceeded, match=r"ops\[0\]\.gate"):
             parse_circuit(circuit_file(doc))
 
+    def test_parametric_arity_checked_before_allocation(self):
+        # identity(11) would be a 64 MiB matrix; its arity is read from the name.
+        doc = {"wires": 1, "ops": [{"gate": "identity(11)", "lens": [0]}]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArityMismatch, match=r"ops\[0\]: gate 'identity\(11\)'"):
+                circuit_from_spec(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_oversized_custom_gate(self):
         doc = {"wires": 1, "ops": [],
                "gates": [{"name": "u", "wires": 20000, "matrix": [[1.0, 0.0]]}]}
@@ -272,6 +285,13 @@ class TestRunCommand:
     def test_oversized_builtin_exit_code(self, circuit_file, capsys):
         path = circuit_file({"wires": 2, "ops": [{"gate": "identity(40)", "lens": [0]}]})
         assert main(["run", path, "--input", "00"]) == 2
+        assert "guard" in capsys.readouterr().err
+
+    def test_huge_state_file_exit_code(self, circuit_file, tmp_path, capsys):
+        path = circuit_file(BIT_FLIP_ENC)
+        state_path = tmp_path / "huge.state"
+        state_path.write_text("0" * 15000 + " 1 0\n")
+        assert main(["run", path, "--input", str(state_path)]) == 2
         assert "guard" in capsys.readouterr().err
 
     def test_parallel_flag(self, circuit_file, capsys):

@@ -34,7 +34,8 @@ from qlens import (
     uncurry,
     zero_state,
 )
-from qlens.focus import _focus_amps, _focus_steps
+import qlens.focus as focus_module
+from qlens.focus import _focus_amps, _focus_steps, _permutation_rows
 from _helpers import max_entry, random_gate, random_lens, random_steps
 
 SEED = 424242
@@ -345,6 +346,101 @@ class TestCurriedSteps:
         for lens, g in steps:
             s = focus_apply_reference(lens, g, s)
         assert max_entry(got, s.amps) <= 1e-12
+
+
+def permutation_gate(rows, m, q):
+    """The 0/1 gate whose output row i is input row rows[i]."""
+    mat = np.zeros((q**m, q**m))
+    mat[np.arange(q**m), rows] = 1.0
+    return Gate(mat, m, m, q)
+
+
+def permutation_cases(q, rng):
+    """Named (n, steps) cases of 0/1 permutation steps, one per lens class."""
+    if q == 2:
+        n, two, three = 5, cnot(), permutation_gate([0, 1, 2, 3, 4, 5, 7, 6], 3, 2)
+    else:
+        n = 4
+        two = permutation_gate(rng.permutation(9), 2, 3)
+        three = permutation_gate(rng.permutation(27), 3, 3)
+    # |x> -> |x+1 mod q>: one q-cycle (a 3-cycle for q = 3)
+    shift = permutation_gate(np.roll(np.arange(q), 1), 1, q)
+    full = permutation_gate(rng.permutation(q**n), n, q)
+    dense = [random_gate(m, rng, q) for m in (1, 2, 2)]
+    return {
+        "leading": (n, [(Lens(n, (0, 1)), two)]),
+        "middle": (n, [(Lens(n, (1, 2)), two), (Lens(n, (2,)), shift)]),
+        "innermost": (n, [(Lens(n, (n - 2, n - 1)), two), (Lens(n, (n - 1,)), shift)]),
+        "unsorted": (n, [(Lens(n, (n - 1, 0)), two), (Lens(n, (2, n - 1, 0)), three)]),
+        "m_equals_n": (n, [(Lens(n, tuple(int(w) for w in rng.permutation(n))), full)]),
+        "m_zero": (n, [(Lens(n, ()), identity(0, q))]),
+        "identity": (n, [(Lens(n, (n - 1, 1)), identity(2, q))]),
+        "mixed": (n, [(Lens(n, (2,)), dense[0]), (Lens(n, (n - 1, 0)), two),
+                      (Lens(n, (1, 0)), dense[1]), (Lens(n, (0,)), shift),
+                      (Lens(n, (2, n - 1, 0)), three), (Lens(n, (3, 1)), dense[2]),
+                      (Lens(n, (1, 2)), two)]),
+    }
+
+
+PERMUTATION_CASES = list(permutation_cases(2, np.random.default_rng(0)))
+
+
+class TestPermutationKernel:
+    """0/1 permutation steps move rows in place, bit-identical to gather + GEMM."""
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "tiny_chunks"])
+    @pytest.mark.parametrize("b", [None, 3], ids=["vector", "batch"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("case", PERMUTATION_CASES)
+    def test_matches_gemm_reference_and_oracle(self, monkeypatch, case, q, b, chunk):
+        rng = np.random.default_rng(SEED)
+        n, steps = permutation_cases(q, rng)[case]
+        dim = q**n
+        shape = (dim,) if b is None else (dim, b)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = amps.copy()
+        if chunk is not None:
+            monkeypatch.setattr(focus_module, "_CHUNK_BYTES", chunk)
+        got = _focus_steps(n, q, steps, amps)
+        assert np.array_equal(amps, before)
+        with monkeypatch.context() as patched:
+            patched.setattr(focus_module, "_permutation_rows", lambda mat: None)
+            gemm = _focus_steps(n, q, steps, amps)
+        assert np.array_equal(got, gemm)
+        product = np.eye(dim, dtype=complex)
+        for lens, g in steps:
+            product = build_full_matrix(lens, g).mat @ product
+        assert max_entry(got, product @ amps) <= 1e-10
+        for j in range(1 if b is None else b):
+            s = State(n, q, amps if b is None else amps[:, j])
+            for lens, g in steps:
+                s = focus_apply_reference(lens, g, s)
+            assert max_entry(got if b is None else got[:, j], s.amps) <= 1e-12
+
+    def test_detects_only_zero_one_permutations(self):
+        assert _permutation_rows(cnot().mat).tolist() == [0, 1, 3, 2]
+        assert _permutation_rows(identity(2).mat).tolist() == [0, 1, 2, 3]
+        assert _permutation_rows(np.array([[0, 1j], [1, 0]])) is None
+        assert _permutation_rows(np.array([[0, -1], [1, 0]])) is None
+        assert _permutation_rows(np.array([[1, 1], [0, 0]])) is None
+        assert _permutation_rows(np.zeros((1, 1))) is None
+
+    def test_no_gemm_and_identity_costs_nothing(self, monkeypatch):
+        rng = np.random.default_rng(SEED)
+        amps = random_state(5, 2, rng).amps
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        monkeypatch.setattr(np, "copyto", counted("copyto"))
+        monkeypatch.setattr(np, "matmul", counted("matmul"))
+        got = _focus_steps(5, 2, [(Lens(5, (4, 1)), identity(2))], amps)
+        assert calls == [] and np.array_equal(got, amps)
+        # first step out of place (4 row copies), then one 2-cycle (3 copies)
+        _focus_steps(5, 2, [(Lens(5, (4, 1)), cnot()), (Lens(5, (0, 3)), cnot())], amps)
+        assert (calls.count("copyto"), calls.count("matmul")) == (7, 0)
 
 
 class TestFocusAlgebra:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -85,6 +86,25 @@ class TestConstruction:
     def test_matrix_is_immutable(self):
         with pytest.raises(ValueError):
             hadamard().mat[0, 0] = 5
+
+    def test_builtin_matrix_held_once(self):
+        # identity(11) is a 64 MiB matrix: Gate keeps the fresh array it is
+        # handed instead of copying it.
+        tracemalloc.start()
+        try:
+            g = builtin("identity(11)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.mat.nbytes == 2**26
+        assert peak < 1.25 * g.mat.nbytes
+
+    def test_caller_array_is_copied(self):
+        a = np.eye(2, dtype=np.complex128)
+        g = Gate(a)
+        assert not np.shares_memory(g.mat, a)
+        a[0, 0] = 5
+        assert g.mat[0, 0] == 1
 
 
 class TestKetBra:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlens import (
     IndexOutOfRange,
     ParseError,
+    QLensError,
     ShapeMismatch,
     SizeGuardExceeded,
     State,
@@ -221,6 +224,11 @@ class TestTextFormat:
                 ]
                 assert state_to_text(s, threshold) == "\n".join(want)
 
+    def test_huge_basis_line_hits_guard(self):
+        # 2**15000 is too big to print; the guard decides from the arity.
+        with pytest.raises(SizeGuardExceeded, match=r"2\*\*15000"):
+            state_from_text("0" * 15000 + " 1 0\n", 2)
+
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
             state_from_text("")
@@ -228,3 +236,47 @@ class TestTextFormat:
     def test_comments_and_blanks_ignored(self):
         s = state_from_text("# comment\n\n1 1.0 0.0\n")
         assert s.amplitude((1,)) == 1.0
+
+
+# Fuzzing state_from_text.  Each token is valid five draws in six and junk
+# otherwise; some lines are blank, comments or arbitrary text.  Junk digit
+# strings are short or beyond the 2**30 guard: arities 17..30 pass the guard
+# but allocate up to 16 GiB.
+DIGIT_JUNK = st.sampled_from(["x", "-1", "1.0", "\u0663", "0" * 31, "1" * 15000, "9" * 3, "0 1"])
+AMP_JUNK = st.sampled_from(["nan", "-inf", "1e999", "x", "0x1", "1_0", "--1", "1j"])
+
+
+def token(valid, junk):
+    return st.integers(0, 5).flatmap(lambda r: junk if r == 5 else valid)
+
+
+@st.composite
+def state_text(draw):
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    digits = st.text(alphabet="0123456789"[:q], min_size=n, max_size=n)
+    amp = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 8:
+            lines.append(draw(st.sampled_from(["", "   ", "# comment"])))
+        elif kind == 9:
+            lines.append(draw(st.text(max_size=12)))
+        else:
+            lines.append(" ".join([draw(token(digits, DIGIT_JUNK)),
+                                   draw(token(amp, AMP_JUNK)), draw(token(amp, AMP_JUNK))]))
+    return "\n".join(lines), q, draw(st.sampled_from([None, n, n + 1]))
+
+
+@settings(max_examples=300)
+@given(state_text())
+def test_state_from_text_fuzz(case):
+    """Every text parses into a valid state or raises a QLensError."""
+    text, q, n = case
+    try:
+        s = state_from_text(text, q, n)
+    except QLensError:
+        return
+    assert isinstance(s, State) and s.q == q and n in (None, s.n)
+    assert s.amps.shape == (q**s.n,) and np.all(np.isfinite(s.amps))
