@@ -125,13 +125,14 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
 # Permutation steps move row blocks chunk by chunk: a chunk of at most this
 # many bytes stays in cache across the copies that rotate one cycle.  On a
 # 2-vCPU Xeon at n = 20 (16 MiB state), 1 MiB chunks cut an in-place CNOT by
-# about a third on most wire pairs (wires (18, 19): 4.1 -> 2.6 ms).
+# about a third on most wire pairs (wires (18, 19): 4.1 -> 2.6 ms) and a
+# `qlens run` of GHZ-20 from 58 to 38 ms.
 _CHUNK_BYTES = 1 << 20
-# A block whose contiguous run is shorter than this many bytes moves as runs
-# of one opaque item each, so numpy's inner copy loop is not one to four
-# complex numbers long.  Same box: wires (16, 17) 4.1-4.5 -> 3.0-3.1 ms,
-# wires (17, 18) 6.8-8.4 -> 3.7-4.3 ms.
-_RUN_BYTES = 128
+# Below this many amplitudes (batch axis included) a permutation step takes
+# gather + GEMM: detecting the permutation and building the row views cost
+# about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us at 2**8
+# amplitudes, 32 us at 2**13 and 61 us at 2**14 (kernel there: 56 us).
+_PERM_MIN_SIZE = 1 << 14
 
 
 def _permutation_rows(mat: np.ndarray) -> np.ndarray | None:
@@ -157,54 +158,36 @@ def _cycles(rows: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def _permute_blocks(src: np.ndarray, dst: np.ndarray, shape: tuple[int, ...],
-                    axes: list[int], rows: np.ndarray, q: int, spare: np.ndarray) -> None:
-    """Row block i of dst becomes row block rows[i] of src.
+def _permute_blocks(buf: np.ndarray, shape: tuple[int, ...], axes: list[int],
+                    rows: np.ndarray, q: int, spare: np.ndarray) -> None:
+    """Row block i of buf becomes its row block rows[i], in place.
 
     The buffers hold shape (q,)*n plus an optional batch axis; ``axes`` hold
     the lens wires in lens order, and row block i fixes them to the digits
-    of i.  When dst is src the non-trivial cycles rotate in place through
-    ``spare`` (a buffer as large) and fixed rows are not touched; otherwise
-    every row is copied once.  Either way the rows move chunk by chunk along
-    their leading axes.
+    of i.  The non-trivial cycles rotate through ``spare`` (a buffer as
+    large), chunk by chunk along the blocks' leading axes; fixed rows are
+    not touched.
     """
-    in_place = dst is src
-    src, dst, spare = (a.reshape(-1) for a in (src, dst, spare))
-    last = max(axes)
-    run = math.prod(shape[last + 1:])
-    if 1 < run and run * src.itemsize < _RUN_BYTES:
-        item = np.dtype((np.void, run * src.itemsize))
-        src, dst, spare = (a.view(item) for a in (src, dst, spare))
-        shape = shape[:last + 1]
-
-    def blocks(arr: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for i in range(len(rows)):
-            index = [slice(None)] * arr.ndim
-            for pos, a in enumerate(axes):
-                index[a] = i // q ** (len(axes) - 1 - pos) % q
-            out.append(arr[tuple(index) + (Ellipsis,)])
-        return out
-
-    srcs = blocks(src.reshape(shape))
-    dsts = srcs if in_place else blocks(dst.reshape(shape))
-    inner, lead, nchunks = srcs[0].shape, 0, 1
-    while lead < len(inner) and src.nbytes > _CHUNK_BYTES * nchunks:
+    buf = buf.reshape(shape)
+    blocks = []
+    for i in range(len(rows)):
+        index = [slice(None)] * buf.ndim
+        for pos, a in enumerate(axes):
+            index[a] = i // q ** (len(axes) - 1 - pos) % q
+        blocks.append(buf[tuple(index) + (Ellipsis,)])
+    inner, lead, nchunks = blocks[0].shape, 0, 1
+    while lead < len(inner) and buf.nbytes > _CHUNK_BYTES * nchunks:
         nchunks *= inner[lead]
         lead += 1
-    tmp = spare[:math.prod(inner[lead:])].reshape(inner[lead:])
+    tmp = spare.reshape(-1)[:math.prod(inner[lead:])].reshape(inner[lead:])
     cycles = _cycles(rows)
     for chunk in product(*map(range, inner[:lead])):
         at = chunk + (Ellipsis,)
-        if not in_place:
-            for i, j in enumerate(rows):
-                np.copyto(dsts[i][at], srcs[j][at])
-            continue
         for cycle in cycles:
-            np.copyto(tmp, srcs[cycle[0]][at])
+            np.copyto(tmp, blocks[cycle[0]][at])
             for here, there in zip(cycle, cycle[1:]):
-                np.copyto(srcs[here][at], srcs[there][at])
-            np.copyto(srcs[cycle[-1]][at], tmp)
+                np.copyto(blocks[here][at], blocks[there][at])
+            np.copyto(blocks[cycle[-1]][at], tmp)
 
 
 def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
@@ -216,16 +199,18 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
 
     The state stays curried between steps; ``order[k]`` is the wire held on
     axis k.  A step whose gate is a 0/1 permutation matrix only relabels
-    basis tuples: it rotates the row blocks of each non-trivial cycle in
-    place, wherever its lens wires sit, and leaves ``order`` alone (an
-    identity step does nothing).  Any other step gathers its lens wires to
-    the front with one copy (none when they already lead in lens order) and
-    runs one q**m x q**m by q**m x q**(n-m)*B matrix product.  Index
+    basis tuples: on a state of at least _PERM_MIN_SIZE amplitudes it
+    rotates the row blocks of each non-trivial cycle in place, wherever its
+    lens wires sit, and leaves ``order`` alone (an identity step does
+    nothing).  Any other step gathers its lens wires to the front with one
+    copy (none when they already lead in lens order) and runs one
+    q**m x q**m by q**m x q**(n-m)*B matrix product.  Index
     arithmetic is exactly curry's merge(lens, v, w) encoding, the untouched
     wires keeping their current relative order.  The wire order is restored
     once at the end.  Copies and products alternate between two buffers;
     a caller's ``amps`` is never written (a permutation as the first step
-    copies its rows out of place) and the batch axis trails along untouched.
+    first copies it into the first buffer) and the batch axis trails along
+    untouched.
     """
     owned = amps is None
     if owned:
@@ -248,13 +233,14 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
 
     for lens, gate in steps:
         wires = list(lens.idx)
-        perm = _permutation_rows(gate.mat)
+        perm = _permutation_rows(gate.mat) if cur.size >= _PERM_MIN_SIZE else None
         if perm is not None:
             if (perm != np.arange(len(perm))).any():
-                dst = bufs[0] if cur is amps else cur
-                _permute_blocks(cur, dst, shape, [order.index(w) for w in wires], perm, q,
-                                other(dst))
-                cur = dst
+                if cur is amps and not owned:
+                    np.copyto(bufs[0], amps)
+                    cur = bufs[0]
+                _permute_blocks(cur, shape, [order.index(w) for w in wires], perm, q,
+                                other(cur))
             continue
         if order[:lens.m] != wires:
             gather(wires + [w for w in order if w not in lens.idx])

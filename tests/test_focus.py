@@ -388,6 +388,10 @@ PERMUTATION_CASES = list(permutation_cases(2, np.random.default_rng(0)))
 class TestPermutationKernel:
     """0/1 permutation steps move rows in place, bit-identical to gather + GEMM."""
 
+    @pytest.fixture(autouse=True)
+    def small_states_take_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+
     @pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "tiny_chunks"])
     @pytest.mark.parametrize("b", [None, 3], ids=["vector", "batch"])
     @pytest.mark.parametrize("q", [2, 3])
@@ -438,9 +442,29 @@ class TestPermutationKernel:
         monkeypatch.setattr(np, "matmul", counted("matmul"))
         got = _focus_steps(5, 2, [(Lens(5, (4, 1)), identity(2))], amps)
         assert calls == [] and np.array_equal(got, amps)
-        # first step out of place (4 row copies), then one 2-cycle (3 copies)
+        # the caller's array copied once, then one 2-cycle per step (3 copies each)
         _focus_steps(5, 2, [(Lens(5, (4, 1)), cnot()), (Lens(5, (0, 3)), cnot())], amps)
         assert (calls.count("copyto"), calls.count("matmul")) == (7, 0)
+
+    def test_small_states_take_gather_and_gemm(self, monkeypatch):
+        # 32 amplitudes fall below a 64-amplitude threshold, 32 x 2 do not
+        rng = np.random.default_rng(SEED)
+        steps = [(Lens(5, (4, 1)), cnot())]
+        vector = random_state(5, 2, rng).amps
+        batch = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+        calls = []
+        real = np.matmul
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 64)
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or real(*a, **k))
+        got_vector = _focus_steps(5, 2, steps, vector)
+        got_batch = _focus_steps(5, 2, steps, batch)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want = focus_apply_reference(*steps[0], State(5, 2, vector)).amps
+        assert max_entry(got_vector, want) <= 1e-12
+        for j in range(2):
+            want = focus_apply_reference(*steps[0], State(5, 2, batch[:, j])).amps
+            assert max_entry(got_batch[:, j], want) <= 1e-12
 
 
 class TestFocusAlgebra:
