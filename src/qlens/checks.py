@@ -8,11 +8,13 @@ one result per law with the worst deviation observed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from . import circuits
 from .focus import (
+    _PERM_MIN_SIZE,
     curry,
     focus_apply,
     focus_apply_reference,
@@ -44,7 +46,13 @@ from .parallel import (
     focused,
     identity_focused,
 )
-from .state import all_basis_tuples, ket, random_state
+from .state import (
+    all_basis_tuples,
+    index_to_tuple,
+    ket,
+    random_state,
+    tuple_to_index,
+)
 
 
 @dataclass
@@ -141,6 +149,17 @@ def lens_laws(max_wires: int = 5, q: int = 2) -> list[CheckResult]:
              factor, double_comp, assoc)]
 
 
+def _classical_dev(lens: Lens, perm: np.ndarray, v: tuple[int, ...], q: int) -> float:
+    """Focus the 0/1 gate sending local basis index j to perm[j] on ket(v),
+    and compare with the tuple update merge(perm(extract(v)), rest)."""
+    m = lens.m
+    pmat = np.zeros((q**m, q**m))
+    pmat[perm, np.arange(q**m)] = 1.0
+    got = focus_apply(lens, Gate(pmat, m, m, q), ket(v, q))
+    image = index_to_tuple(int(perm[tuple_to_index(lens.extract(v), q)]), m, q)
+    return got.max_dev(ket(lens.merge(image, lens.complement.extract(v)), q))
+
+
 def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                q: int = 2) -> list[CheckResult]:
     """Randomized algebra of focusing: cancellation, composition, naturality."""
@@ -207,17 +226,19 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         rhs_b = apply_to_blocks(g, map_blocks(phi, blocks))
         natural.see(float(np.max(np.abs(lhs_b - rhs_b), initial=0.0)), where)
 
-        perm = rng.permutation(q**m)
-        pmat = np.zeros((q**m, q**m))
-        pmat[perm, np.arange(q**m)] = 1.0
-        pgate = Gate(pmat, m, m, q)
-        got = focus_apply(lens, pgate, ket(v, q))
-        from .state import index_to_tuple, tuple_to_index
+        classical.see(_classical_dev(lens, rng.permutation(q**m), v, q), where)
 
-        local = lens.extract(v)
-        image = index_to_tuple(int(perm[tuple_to_index(local, q)]), m, q)
-        want = ket(lens.merge(image, lens.complement.extract(v)), q)
-        classical.see(got.max_dev(want), where)
+    # Focusing takes the in-place permutation kernel only from
+    # _PERM_MIN_SIZE amplitudes up, which the draws above reach only for a
+    # large max_wires; these draws start at the first n that reaches it.
+    n = next(k for k in count() if q**k >= _PERM_MIN_SIZE)
+    for m in range(min(3, n) + 1):
+        lens = _random_lens(n, m, rng)
+        if m > 1 and lens.is_sorted():
+            lens = Lens(n, lens.idx[::-1])
+        v = tuple(int(x) for x in rng.integers(0, q, size=n))
+        classical.see(_classical_dev(lens, rng.permutation(q**m), v, q),
+                      f"n={n} lens={list(lens.idx)}")
 
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,

@@ -216,10 +216,9 @@ def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
             raise ParseError(f"line {lineno}: arity {len(digits)} != {arity}")
         if not amps:
             check_allocation(arity, q)  # before a huge first line is read as an index
-        try:
-            v = tuple(int(c) for c in digits)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad digit string {digits!r}") from None
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"line {lineno}: bad digit string {digits!r}")
+        v = tuple(int(c) for c in digits)
         try:
             pos = tuple_to_index(v, q)
         except IndexOutOfRange as exc:

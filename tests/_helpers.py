@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qlens import Gate, Lens, random_unitary
-
-
-def random_lens(n: int, m: int, rng: np.random.Generator) -> Lens:
-    return Lens(n, tuple(int(i) for i in rng.permutation(n)[:m]))
-
-
-def random_gate(m: int, rng: np.random.Generator, q: int = 2) -> Gate:
-    return Gate(random_unitary(q**m, rng), m, m, q)
+from qlens import Lens
+from qlens.checks import _random_gate as random_gate, _random_lens as random_lens
 
 
 def max_entry(a: np.ndarray, b: np.ndarray) -> float:
@@ -29,4 +22,4 @@ def random_steps(n: int, q: int, rng: np.random.Generator, count: int = 8) -> li
     lenses = [Lens(n, (0, 1)), Lens(n, ())]
     lenses += [random_lens(n, int(rng.integers(0, 4)), rng) for _ in range(count)]
     lenses.append(lenses[-1])
-    return [(lens, random_gate(lens.m, rng, q)) for lens in lenses]
+    return [(lens, random_gate(lens.m, q, rng)) for lens in lenses]

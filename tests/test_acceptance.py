@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
+Criteria 3-8 run the law suites of `qlens.checks` (the code behind
+`qlens check`) and assert every law they return, so each law is coded once.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report; plain `pytest` still enforces every bound.
 """
@@ -11,32 +13,22 @@ import numpy as np
 from qlens import (
     Gate,
     Lens,
-    all_basis_tuples,
-    all_lenses,
-    assert_equiv,
-    cnot,
-    combine,
-    combine_all,
-    compose,
-    compose_actions,
     focus_apply,
-    focus_as_gate,
-    focused,
     ghz_circuit,
     ghz_state,
-    hadamard,
-    identity_focused,
     ket,
-    lens_pair,
-    lens_single,
-    marginal,
     random_state,
     random_unitary,
-    reversal_circuit,
     shor_components,
-    unitarity_defect,
 )
-from _helpers import random_gate, random_lens
+from qlens.checks import (
+    example_suite,
+    focus_laws,
+    lens_laws,
+    monoid,
+    oracle_suite,
+    unitarity,
+)
 
 
 def report(criterion: str, max_dev: float, tol: float, elapsed: float | None = None,
@@ -45,6 +37,15 @@ def report(criterion: str, max_dev: float, tol: float, elapsed: float | None = N
     extra = f" {extra}" if extra else ""
     print(f"[acceptance] {criterion}: PASS max_dev={max_dev:.3e} "
           f"tol={tol:.1e}{timing}{extra}")
+
+
+def assert_laws(results) -> tuple[float, float]:
+    """Assert that every law passed; return the worst law's (max_dev, tol)."""
+    failed = [f"{r.name}: max_dev={r.max_dev:.3e} > tol={r.tol:.1e} {r.detail}"
+              for r in results if not r.passed]
+    assert not failed, "\n".join(failed)
+    worst = max(results, key=lambda r: r.max_dev / r.tol if r.tol else 0.0)
+    return worst.max_dev, worst.tol
 
 
 def test_criterion_1_shor_roundtrip_identity():
@@ -77,175 +78,47 @@ def test_criterion_2_ghz_closed_form():
 
 
 def test_criterion_3_bit_flip_lemma():
-    enc = shor_components()["bit_flip_enc"]
-    worst = 0.0
-    for i, j, k in all_basis_tuples(3):
-        out = enc.run(ket((i, j, k)))
-        worst = max(worst, out.max_dev(ket((i, i ^ j, i ^ k))))
-    assert worst <= 1e-12
-    report("criterion 3 (bit-flip encoding on all basis inputs)", worst, 1e-12)
+    results = example_suite()
+    report("criterion 3 (bit-flip encoding on all basis inputs)",
+           *assert_laws(results), extra=f"({len(results)} laws)")
 
 
 def test_criterion_4_oracle_equivalence():
-    rng = np.random.default_rng(20240604)
     start = time.perf_counter()
-    worst = 0.0
-    trials = 0
-    while trials < 200:
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, min(3, n) + 1))
-        lens = random_lens(n, m, rng)
-        gate = random_gate(m, rng)
-        worst = max(worst, assert_equiv(lens, gate, trials=1, rng=rng))
-        trials += 1
+    results = oracle_suite(20240604, 200, 6, 3)
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-10
+    worst = assert_laws(results)
     assert elapsed < 30.0
     report("criterion 4 (dense oracle vs focusing, 200 random trials)",
-           worst, 1e-10, elapsed)
+           *worst, elapsed, extra=f"({len(results)} laws)")
 
 
 def test_criterion_5_lens_law_suite():
     start = time.perf_counter()
-    failures = 0
-    for n in range(6):
-        tuples = list(all_basis_tuples(n))
-        for lens in all_lenses(n):
-            comp = lens.complement
-            basis, perm = lens.factorize()
-            ok = basis.is_sorted()
-            ok &= sorted(basis.idx) == sorted(lens.idx)
-            ok &= basis.compose(perm).idx == lens.idx
-            for i in range(n):
-                ok &= comp.contains(i) == (not lens.contains(i))
-            for t in tuples:
-                v, c = lens.extract(t), comp.extract(t)
-                merged = lens.merge(v, c)
-                ok &= merged == t
-                ok &= lens.extract(merged) == v
-                ok &= comp.extract(merged) == c
-                for j in range(lens.m):
-                    ok &= v[j] == t[lens.idx[j]]
-                for i in range(n):
-                    if lens.contains(i):
-                        ok &= merged[i] == v[lens.position(i)]
-                    else:
-                        ok &= merged[i] == c[comp.position(i)]
-            failures += 0 if ok else 1
+    results = lens_laws(5)
     elapsed = time.perf_counter() - start
-    assert failures == 0
+    worst = assert_laws(results)
     assert elapsed < 60.0
-    report("criterion 5 (exhaustive lens laws, n <= 5)", float(failures), 0.0,
-           elapsed)
+    report("criterion 5 (exhaustive lens laws, n <= 5)", *worst, elapsed,
+           extra=f"({len(results)} laws)")
 
 
 def test_criterion_6_focus_algebra():
-    rng = np.random.default_rng(20240605)
-    worst = 0.0
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, min(3, n) + 1))
-        lens = random_lens(n, m, rng)
-        f, g = random_gate(m, rng), random_gate(m, rng)
-        s, t = random_state(n, 2, rng), random_state(n, 2, rng)
-
-        lhs = focus_apply(lens, compose(f, g), s)
-        rhs = focus_apply(lens, f, focus_apply(lens, g, s))
-        worst = max(worst, lhs.max_dev(rhs))
-
-        p = int(rng.integers(0, m + 1))
-        inner = random_lens(m, p, rng)
-        gp = random_gate(p, rng)
-        lhs = focus_apply(lens.compose(inner), gp, s)
-        rhs = focus_apply(lens, focus_as_gate(inner, gp), s)
-        worst = max(worst, lhs.max_dev(rhs))
-
-        rest = [i for i in range(n) if not lens.contains(i)]
-        m2 = min(2, len(rest))
-        other = Lens(n, tuple(rest[:m2]))
-        g2 = random_gate(m2, rng)
-        lhs = focus_apply(other, g2, focus_apply(lens, g, s))
-        rhs = focus_apply(lens, g, focus_apply(other, g2, s))
-        worst = max(worst, lhs.max_dev(rhs))
-
-        worst = max(worst, abs(
-            focus_apply(lens, g, s).inner(focus_apply(lens, g, t)) - s.inner(t)
-        ))
-
-        worst = max(worst, unitarity_defect(compose(f, g)))
-
-    assert worst <= 1e-10
+    results = focus_laws(20240605, 6, 40) + unitarity(20240605)
     report("criterion 6 (focus composition/commutation/unitarity laws)",
-           worst, 1e-10)
+           *assert_laws(results), extra=f"({len(results)} laws)")
 
 
 def test_criterion_7_monoid_laws():
-    n = 4
-    pool = [focused(lens_single(n, i), hadamard()) for i in range(n)]
-    pool += [
-        focused(lens_pair(n, i, j), cnot()) for i in range(n) for j in range(i + 1, n)
-    ]
-
-    comm_ok = all(
-        combine(a, b).isclose(combine(b, a), tol=1e-12) for a in pool for b in pool
-    )
-    assert comm_ok
-
-    assoc_ok = True
-    for a in pool:
-        for b in pool:
-            ab = combine(a, b)
-            for c in pool:
-                assoc_ok &= combine(ab, c).isclose(combine(a, combine(b, c)),
-                                                   tol=1e-12)
-    assert assoc_ok
-
-    unit = identity_focused(n)
-    assert all(combine(unit, a).isclose(a, tol=0.0) for a in pool)
-
-    rng = np.random.default_rng(20240607)
-    worst = 0.0
-    for _ in range(20):
-        nn = int(rng.integers(2, 7))
-        wires = [int(w) for w in rng.permutation(nn)]
-        family = []
-        while wires and (not family or rng.random() > 0.25):
-            take = int(rng.integers(1, min(2, len(wires)) + 1))
-            family.append(focused(Lens(nn, tuple(wires[:take])),
-                                  random_gate(take, rng)))
-            wires = wires[take:]
-        seq = compose_actions([fg.apply for fg in family])
-        par = combine_all(nn, family)
-        s = random_state(nn, 2, rng)
-        worst = max(worst, seq(s).max_dev(par.apply(s)))
-    assert worst <= 1e-10
+    results = monoid(20240607, 6, 20)
     report("criterion 7 (focused-gate monoid laws + fold agreement)",
-           worst, 1e-10, extra=f"(pool size {len(pool)}, exhaustive triples)")
+           *assert_laws(results), extra=f"({len(results)} laws)")
 
 
 def test_criterion_8_reversal():
-    worst_basis = 0.0
-    for n in range(9):
-        circ = reversal_circuit(n)
-        for v in all_basis_tuples(n):
-            worst_basis = max(worst_basis, circ.run(ket(v)).max_dev(ket(v[::-1])))
-    assert worst_basis <= 1e-9
-
-    rng = np.random.default_rng(20240608)
-    worst_marginal = 0.0
-    for n in range(1, 7):
-        circ = reversal_circuit(n)
-        for _ in range(5):
-            s = random_state(n, 2, rng)
-            rs = circ.run(s)
-            for i in range(n):
-                before = marginal(lens_single(n, i), s)
-                after = marginal(lens_single(n, n - 1 - i), rs)
-                worst_marginal = max(worst_marginal,
-                                     float(np.max(np.abs(after - before))))
-    assert worst_marginal <= 1e-10
+    results = example_suite(20240608)
     report("criterion 8 (reversal: exhaustive basis n<=8, marginals n<=6)",
-           max(worst_basis, worst_marginal), 1e-9)
+           *assert_laws(results), extra=f"({len(results)} laws)")
 
 
 def test_criterion_9_focused_gate_latency():

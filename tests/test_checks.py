@@ -1,0 +1,69 @@
+"""The law suites are not vacuous: a fault planted in the code a scope guards
+makes at least one of its laws report FAIL.
+
+The acceptance criteria assert that every law passes on the real code; these
+tests show that the same laws notice when that code is wrong.
+"""
+
+import pytest
+
+import qlens.focus as focus_module
+import qlens.parallel as parallel_module
+from qlens import Circuit, Gate, Lens
+from qlens.checks import run_scope
+
+
+def merge_ignores_lens_order(monkeypatch):
+    real = Lens.merge
+    monkeypatch.setattr(Lens, "merge", lambda self, v, c: real(
+        Lens(self.n, tuple(sorted(self.idx))), v, c))
+
+
+def lens_read_reversed(monkeypatch):
+    real = focus_module._focus_steps
+    monkeypatch.setattr(focus_module, "_focus_steps", lambda n, q, steps, amps: real(
+        n, q, [(Lens(lens.n, lens.idx[::-1]), g) for lens, g in steps], amps))
+
+
+def cycles_rotated_backwards(monkeypatch):
+    # Only states of at least _PERM_MIN_SIZE amplitudes take the kernel.
+    real = focus_module._cycles
+    monkeypatch.setattr(focus_module, "_cycles",
+                        lambda rows: [c[::-1] for c in real(rows)])
+
+
+def gate_transposed(monkeypatch):
+    real = focus_module._focus_steps
+    monkeypatch.setattr(focus_module, "_focus_steps", lambda n, q, steps, amps: real(
+        n, q, [(lens, Gate(g.mat.T, g.wires_in, g.wires_out, g.q)) for lens, g in steps],
+        amps))
+
+
+def parallel_operands_swapped(monkeypatch):
+    real = parallel_module.parallel_gate
+    monkeypatch.setattr(parallel_module, "parallel_gate", lambda f, g: real(g, f))
+
+
+def last_step_dropped(monkeypatch):
+    real = Circuit.run
+    monkeypatch.setattr(Circuit, "run", lambda self, state, workers=None: real(
+        Circuit(self.n, self.steps[:-1], self.q), state))
+
+
+# fault -> (scope, a law the fault must fail)
+FAULTS = {
+    merge_ignores_lens_order: ("lens-laws", "merge_extract"),
+    lens_read_reversed: ("focus-laws", "fast_vs_reference"),
+    cycles_rotated_backwards: ("focus-laws", "classical_permutation_focus"),
+    gate_transposed: ("oracle", "oracle_random_unitaries"),
+    parallel_operands_swapped: ("monoid", "combine_commutativity"),
+    last_step_dropped: ("examples", "ghz_preparation"),
+}
+
+
+@pytest.mark.parametrize("plant", FAULTS, ids=lambda plant: plant.__name__)
+def test_planted_fault_fails_a_law(monkeypatch, plant):
+    scope, law = FAULTS[plant]
+    plant(monkeypatch)
+    failed = [r.name for r in run_scope(scope, seed=0, trials=20) if not r.passed]
+    assert law in failed

@@ -203,7 +203,7 @@ def custom_gate_circuit(q, seed=7):
     """Seeded circuit mixing builtins with custom gates, one of them reused."""
     rng = np.random.default_rng(seed)
     n = 4
-    gates = {"u": random_gate(1, rng, q), "v": random_gate(2, rng, q), "w": random_gate(0, rng, q)}
+    gates = {"u": random_gate(1, q, rng), "v": random_gate(2, q, rng), "w": random_gate(0, q, rng)}
     steps = [Step(random_lens(n, gates[name].wires, rng), gates[name], name)
              for name in ("u", "v", "u", "w", "v")]
     if q == 2:
@@ -233,9 +233,9 @@ class TestSpecRoundTrip:
     def test_conflicting_matrix_for_a_name(self):
         rng = np.random.default_rng(3)
         lens = Lens(2, (1,))
-        twice = Circuit(2, (Step(lens, random_gate(1, rng), "u"),
-                            Step(lens, random_gate(1, rng), "u")))
-        fake = Circuit(2, (Step(lens, random_gate(1, rng), "hadamard"),))
+        twice = Circuit(2, (Step(lens, random_gate(1, 2, rng), "u"),
+                            Step(lens, random_gate(1, 2, rng), "u")))
+        fake = Circuit(2, (Step(lens, random_gate(1, 2, rng), "hadamard"),))
         for circ in (twice, fake):
             with pytest.raises(ParseError, match="cannot serialize"):
                 circuit_to_spec(circ)

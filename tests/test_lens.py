@@ -121,15 +121,6 @@ class TestCompose:
         with pytest.raises(ArityMismatch):
             Lens(3, (0, 2)).compose(Lens(3, (1,)))
 
-    def test_associativity_exhaustive(self):
-        for n in range(4):
-            for outer in all_lenses(n):
-                for mid in all_lenses(outer.m):
-                    for inner in all_lenses(mid.m):
-                        lhs = outer.compose(mid).compose(inner)
-                        rhs = outer.compose(mid.compose(inner))
-                        assert lhs.idx == rhs.idx
-
 
 class TestFactorize:
     def test_swapped_pair(self):
@@ -150,14 +141,6 @@ class TestFactorize:
         assert basis.idx == (0, 1, 2)
         assert perm.idx == (1, 2, 0)
         assert basis.compose(perm).idx == lens.idx
-
-    def test_factorization_exhaustive(self):
-        for n in range(5):
-            for lens in all_lenses(n):
-                basis, perm = lens.factorize()
-                assert basis.is_sorted()
-                assert sorted(basis.idx) == sorted(lens.idx)
-                assert basis.compose(perm).idx == lens.idx
 
 
 class TestMembership:
@@ -229,29 +212,6 @@ class TestSpecialLenses:
 
     def test_single(self):
         assert lens_single(4, 2).idx == (2,)
-
-
-class TestTupleLawsExhaustive:
-    """Get/put and positional laws over every lens with n <= 4, q = 2."""
-
-    def test_all_laws(self):
-        for n in range(5):
-            tuples = list(product(range(2), repeat=n))
-            for lens in all_lenses(n):
-                comp = lens.complement
-                for t in tuples:
-                    v, c = lens.extract(t), comp.extract(t)
-                    assert lens.merge(v, c) == t
-                    merged = lens.merge(v, c)
-                    assert lens.extract(merged) == v
-                    assert comp.extract(merged) == c
-                    for j in range(lens.m):
-                        assert v[j] == t[lens.idx[j]]
-                    for i in range(n):
-                        if lens.contains(i):
-                            assert merged[i] == v[lens.position(i)]
-                        else:
-                            assert merged[i] == c[comp.position(i)]
 
 
 @st.composite

@@ -97,7 +97,7 @@ class TestPermMatrix:
 class TestBuildFullMatrix:
     def test_identity_lens_returns_gate(self):
         rng = np.random.default_rng(SEED)
-        g = random_gate(2, rng)
+        g = random_gate(2, 2, rng)
         dense = build_full_matrix(lens_id(2), g)
         assert max_entry(dense.mat, g.mat) <= 1e-15
 
@@ -123,7 +123,7 @@ class TestBuildFullMatrix:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, min(3, n) + 1))
             lens = random_lens(n, m, rng)
-            g = random_gate(m, rng)
+            g = random_gate(m, 2, rng)
             dense = build_full_matrix(lens, g)
             for j, v in enumerate(all_basis_tuples(n)):
                 col = focus_apply(lens, g, ket(v)).amps
@@ -172,7 +172,7 @@ class TestAssertEquiv:
     def test_large_random_unitary(self):
         rng = np.random.default_rng(SEED)
         lens = random_lens(6, 3, rng)
-        g = random_gate(3, rng)
+        g = random_gate(3, 2, rng)
         assert assert_equiv(lens, g, trials=5, rng=rng) <= 1e-10
 
     def test_non_unitary_gate(self):

@@ -201,6 +201,12 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=rf"line {line}: .*not finite"):
             state_from_text(text)
 
+    @pytest.mark.parametrize("digits", ["١٠", "1٠", "１0", "²0"])
+    def test_non_ascii_digits_rejected(self, digits):
+        # int() reads any Unicode decimal digit: "١٠" parsed as the tuple (1, 0).
+        with pytest.raises(ParseError, match=rf"line 2: bad digit string '{digits}'"):
+            state_from_text(f"00 0.5 0\n{digits} 0.5 0", 2)
+
     def test_duplicate_basis_line_rejected(self):
         with pytest.raises(ParseError, match=r"line 3: duplicate entry for '01'"):
             state_from_text("01 0.5 0\n10 0.5 0\n01 0.25 0")
