@@ -240,9 +240,39 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         classical.see(_classical_dev(lens, rng.permutation(q**m), v, q),
                       f"n={n} lens={list(lens.idx)}")
 
+    # Drawn from their own generator, so the draws above stay as they were.
+    fusion = _Law("fusion_equivalence", 1e-10)
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(trials):
+        circ = _random_mixed_circuit(int(rng.integers(1, min(max_wires, 6) + 1)),
+                                     int(rng.integers(2, 4)), rng)
+        s = random_state(circ.n, circ.q, rng)
+        want = s
+        for step in circ.steps:
+            want = focus_apply_reference(step.lens, step.gate, want)
+        where = f"n={circ.n} q={circ.q} lenses={[list(st.lens.idx) for st in circ.steps]}"
+        fusion.see(circ.run(s).max_dev(want), f"{where} default")
+        for k in range(2, 6):
+            fusion.see(circ.fused(k).run(s).max_dev(want), f"{where} k={k}")
+
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-             natural, classical)]
+             natural, classical, fusion)]
+
+
+def _random_mixed_circuit(n: int, q: int, rng: np.random.Generator) -> circuits.Circuit:
+    """Up to 12 steps on random unsorted lenses of 0..3 wires, each a random
+    unitary or, one time in three, a random 0/1 permutation."""
+    steps = []
+    for _ in range(int(rng.integers(1, 13))):
+        m = int(rng.integers(0, min(3, n) + 1))
+        lens = _random_lens(n, m, rng)
+        if rng.random() < 1 / 3:
+            gate = Gate(np.eye(q**m)[rng.permutation(q**m)], m, m, q)
+        else:
+            gate = _random_gate(m, q, rng)
+        steps.append(circuits.Step(lens, gate))
+    return circuits.Circuit(n, tuple(steps), q)
 
 
 def unitarity(seed: int = 0, trials: int = 10) -> list[CheckResult]:

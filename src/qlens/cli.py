@@ -268,8 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="basis digit string or state file path")
     run.add_argument("--threshold", type=float, default=0.0,
                      help="suppress amplitudes below this magnitude")
-    run.add_argument("--parallel", action="store_true",
-                     help="accepted for compatibility; BLAS threads every gate")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="run a verification suite")

@@ -258,13 +258,8 @@ def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:
     return _focus_steps(lens.n, gate.q, ((lens, gate),), amps)
 
 
-def focus_apply(lens: Lens, gate: Gate, state: State,
-                workers: int | None = None) -> State:
-    """Apply a gate to the wires a lens selects, leaving the rest untouched.
-
-    ``workers`` is accepted for compatibility and ignored: the matrix
-    product already runs on the BLAS library's threads.
-    """
+def focus_apply(lens: Lens, gate: Gate, state: State) -> State:
+    """Apply a gate to the wires a lens selects, leaving the rest untouched."""
     _check_focus_shapes(lens, state)
     _check_gate(lens, gate, state.q)
     return State(lens.n, state.q, _focus_amps(lens, gate, state.amps), _trusted=True)

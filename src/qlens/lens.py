@@ -45,6 +45,16 @@ class Lens:
         if len(set(self.idx)) != len(self.idx):
             raise DuplicateIndex(f"repeated wire in {list(self.idx)}")
 
+    @classmethod
+    def _trusted(cls, n: int, idx: BasisTuple) -> Lens:
+        """A lens whose int indices are distinct and in range by construction;
+        skips the validation in __post_init__.  Every outside index sequence
+        goes through Lens(...) instead."""
+        lens = object.__new__(cls)
+        object.__setattr__(lens, "n", n)
+        object.__setattr__(lens, "idx", idx)
+        return lens
+
     @property
     def m(self) -> int:
         """Number of source wires."""
@@ -61,7 +71,7 @@ class Lens:
         Sortedness is normative: merge and currying rely on complement
         entries sitting at sorted complement positions.
         """
-        return Lens(self.n, tuple(i for i in range(self.n) if i not in self._members))
+        return Lens._trusted(self.n, tuple(i for i in range(self.n) if i not in self._members))
 
     def extract(self, t: Sequence[int]) -> BasisTuple:
         """Project an n-tuple onto the m selected positions (the get)."""
@@ -86,7 +96,7 @@ class Lens:
         """Select along self, then along ``inner``: result.idx[k] = idx[inner.idx[k]]."""
         if inner.n != self.m:
             raise ArityMismatch(f"inner lens codomain {inner.n} != outer arity {self.m}")
-        return Lens(self.n, tuple(self.idx[j] for j in inner.idx))
+        return Lens._trusted(self.n, tuple(self.idx[j] for j in inner.idx))
 
     def factorize(self) -> tuple[Lens, Lens]:
         """Split into a sorted basis lens and a permutation with basis∘perm = self."""

@@ -7,6 +7,7 @@ tests show that the same laws notice when that code is wrong.
 
 import pytest
 
+import qlens.circuits as circuits_module
 import qlens.focus as focus_module
 import qlens.parallel as parallel_module
 from qlens import Circuit, Gate, Lens
@@ -32,6 +33,12 @@ def cycles_rotated_backwards(monkeypatch):
                         lambda rows: [c[::-1] for c in real(rows)])
 
 
+def fuser_ignores_commutation(monkeypatch):
+    # Every step may join any cluster with room, past steps it does not
+    # commute with.
+    monkeypatch.setattr(circuits_module, "_earliest_join", lambda items, wires: 0)
+
+
 def gate_transposed(monkeypatch):
     real = focus_module._focus_steps
     monkeypatch.setattr(focus_module, "_focus_steps", lambda n, q, steps, amps: real(
@@ -46,7 +53,7 @@ def parallel_operands_swapped(monkeypatch):
 
 def last_step_dropped(monkeypatch):
     real = Circuit.run
-    monkeypatch.setattr(Circuit, "run", lambda self, state, workers=None: real(
+    monkeypatch.setattr(Circuit, "run", lambda self, state: real(
         Circuit(self.n, self.steps[:-1], self.q), state))
 
 
@@ -55,6 +62,7 @@ FAULTS = {
     merge_ignores_lens_order: ("lens-laws", "merge_extract"),
     lens_read_reversed: ("focus-laws", "fast_vs_reference"),
     cycles_rotated_backwards: ("focus-laws", "classical_permutation_focus"),
+    fuser_ignores_commutation: ("focus-laws", "fusion_equivalence"),
     gate_transposed: ("oracle", "oracle_random_unitaries"),
     parallel_operands_swapped: ("monoid", "combine_commutativity"),
     last_step_dropped: ("examples", "ghz_preparation"),

@@ -7,6 +7,7 @@ import pytest
 
 from qlens import (
     Circuit,
+    Gate,
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -21,6 +22,7 @@ from qlens import (
     ghz_state,
     hadamard,
     ket,
+    lens_pair,
     lens_single,
     marginal,
     random_state,
@@ -28,6 +30,9 @@ from qlens import (
     shor_components,
     zero_state,
 )
+from qlens.checks import _random_mixed_circuit
+from qlens.circuits import FUSE_WIRES
+from qlens.focus import _focus_steps
 from _helpers import random_gate, random_lens, random_steps
 
 SEED = 60609
@@ -171,6 +176,124 @@ class TestCurriedRun:
         assert not out.amps.flags.writeable
 
 
+def reference_run(circ: Circuit, s):
+    for step in circ.steps:
+        s = focus_apply_reference(step.lens, step.gate, s)
+    return s
+
+
+def dense_product(circ: Circuit) -> np.ndarray:
+    product = np.eye(circ.q**circ.n, dtype=complex)
+    for step in circ.steps:
+        product = build_full_matrix(step.lens, step.gate).mat @ product
+    return product
+
+
+class TestFusion:
+    """Circuit.fused clusters dense steps; run and to_gate execute the fusion."""
+
+    def test_clusters_stay_within_max_wires(self):
+        rng = np.random.default_rng(SEED)
+        for _ in range(10):
+            circ = _random_mixed_circuit(6, 2, rng)
+            for k in range(1, 6):
+                fused = circ.fused(k).steps
+                new = [st for st in fused if not any(st is old for old in circ.steps)]
+                assert all(st.lens.m <= k for st in new)
+                assert len(fused) <= len(circ.steps)
+
+    def test_dense_step_stays_behind_permutation_on_shared_wire(self):
+        rng = np.random.default_rng(SEED)
+        u, cx = Step(Lens(3, (0,)), random_gate(1, 2, rng)), Step(Lens(3, (0, 1)), cnot())
+        v = Step(Lens(3, (1,)), random_gate(1, 2, rng))
+        w = Step(Lens(3, (0,)), random_gate(1, 2, rng))
+        circ = Circuit(3, (u, cx, v, w))
+        fused = circ.fused(3)
+        assert fused.steps[0] is u and fused.steps[1] is cx
+        assert [st.lens.idx for st in fused.steps[2:]] == [(1, 0)]
+        s = random_state(3, 2, rng)
+        assert fused.run(s).max_dev(reference_run(circ, s)) <= 1e-12
+
+    def test_disjoint_dense_step_joins_across_permutation(self):
+        rng = np.random.default_rng(SEED)
+        u, cx = Step(Lens(3, (0,)), random_gate(1, 2, rng)), Step(Lens(3, (0, 1)), cnot())
+        w = Step(Lens(3, (2,)), random_gate(1, 2, rng))
+        fused = Circuit(3, (u, cx, w)).fused(2)
+        assert [st.lens.idx for st in fused.steps] == [(0, 2), (0, 1)]
+        assert fused.steps[1] is cx
+
+    @pytest.mark.parametrize("circ", [ghz_circuit(15), reversal_circuit(16)],
+                             ids=["ghz16", "reversal16"])
+    def test_permutation_steps_pass_through_bit_identical(self, circ):
+        fused = circ._fused
+        assert len(fused.steps) == len(circ.steps)
+        assert all(a is b for a, b in zip(fused.steps, circ.steps))
+        s = random_state(16, 2, np.random.default_rng(SEED))
+        raw = _focus_steps(16, 2, ((st.lens, st.gate) for st in circ.steps), s.amps)
+        assert np.array_equal(circ.run(s).amps, raw)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_to_gate_matches_oracle_and_reference(self, q):
+        rng = np.random.default_rng(SEED)
+        for _ in range(6):
+            circ = _random_mixed_circuit(int(rng.integers(1, 7 if q == 2 else 5)), q, rng)
+            mat = circ.to_gate().mat
+            assert np.max(np.abs(mat - dense_product(circ))) <= 1e-10
+            for _ in range(2):
+                s = random_state(circ.n, q, rng)
+                assert np.max(np.abs(mat @ s.amps - reference_run(circ, s).amps)) <= 1e-12
+
+    def test_zero_wire_steps(self):
+        rng = np.random.default_rng(SEED)
+        phase = [Step(Lens(4, ()), Gate(np.array([[np.exp(1j * t)]]), 0, 0)) for t in (0.3, 1.1)]
+        h = Step(Lens(4, (2,)), hadamard())
+        u = Step(Lens(4, (3, 1)), random_gate(2, 2, rng))
+        s = random_state(4, 2, rng)
+        only_phases = Circuit(4, tuple(phase)).fused(FUSE_WIRES)
+        assert [st.lens.idx for st in only_phases.steps] == [()]
+        assert abs(only_phases.steps[0].gate.mat[0, 0] - np.exp(1.4j)) <= 1e-15
+        for steps in (phase, [phase[0], h, phase[1], u], [u, phase[0], phase[1], h]):
+            circ = Circuit(4, tuple(steps))
+            want = reference_run(circ, s)
+            for k in range(0, 5):
+                assert circ.fused(k).run(s).max_dev(want) <= 1e-12
+            assert circ.run(s).max_dev(want) <= 1e-12
+
+    @pytest.mark.parametrize("q, max_wires", [(3, 3), (4, 2), (10, 1)])
+    def test_qudit_clusters_stay_within_dimension(self, q, max_wires):
+        # run fuses to clusters of q**k <= 2**FUSE_WIRES amplitudes.
+        rng = np.random.default_rng(SEED)
+        steps = tuple(Step(Lens(4, (w,)), random_gate(1, q, rng)) for w in (0, 1, 2, 3, 0))
+        circ = Circuit(4, steps, q)
+        assert max(st.lens.m for st in circ._fused.steps) == max_wires
+        s = random_state(4, q, rng)
+        assert circ.run(s).max_dev(reference_run(circ, s)) <= 1e-12
+
+    def test_cluster_past_the_dense_guard_refused(self):
+        steps = tuple(Step(lens_single(15, w), hadamard()) for w in range(15))
+        with pytest.raises(SizeGuardExceeded):
+            Circuit(15, steps).fused(15)
+
+    def test_fused_once_across_runs(self, monkeypatch):
+        calls = []
+        real = Circuit.fused
+        monkeypatch.setattr(Circuit, "fused",
+                            lambda self, k: calls.append(k) or real(self, k))
+        rng = np.random.default_rng(SEED)
+        circ = Circuit(4, tuple(Step(lens, g) for lens, g in random_steps(4, 2, rng)))
+        s = random_state(4, 2, rng)
+        first = circ.run(s)
+        assert np.array_equal(circ.run(s).amps, first.amps)
+        circ.to_gate()
+        assert calls == [FUSE_WIRES]
+
+    def test_running_a_fused_circuit_does_not_fuse_again(self):
+        rng = np.random.default_rng(SEED)
+        circ = Circuit(4, tuple(Step(lens, g) for lens, g in random_steps(4, 2, rng)))
+        fused = circ.fused(2)
+        assert fused._fused is fused
+
+
 class TestShorComponents:
     def test_step_counts(self, comps):
         counts = {name: len(c.steps) for name, c in comps.items()}
@@ -268,6 +391,20 @@ class TestGhz:
     def test_negative_depth_rejected(self):
         with pytest.raises(ShapeMismatch):
             ghz_circuit(-1)
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_steps_match_recursive_definition(self, depth):
+        def recursive(d):
+            if d == 0:
+                return Circuit(1, (Step(lens_single(1, 0), hadamard(), "hadamard"),))
+            steps = recursive(d - 1).embedded(lens_single(d + 1, d).complement).steps
+            return Circuit(d + 1, steps + (Step(lens_pair(d + 1, d - 1, d), cnot(), "cnot"),))
+
+        got, want = ghz_circuit(depth), recursive(depth)
+        assert got.n == want.n
+        assert ([(st.lens, st.name) for st in got.steps]
+                == [(st.lens, st.name) for st in want.steps])
+        assert all(np.array_equal(a.gate.mat, b.gate.mat) for a, b in zip(got.steps, want.steps))
 
 
 class TestReversal:

@@ -294,13 +294,13 @@ class TestRunCommand:
         assert main(["run", path, "--input", str(state_path)]) == 2
         assert "guard" in capsys.readouterr().err
 
-    def test_parallel_flag(self, circuit_file, capsys):
-        path = circuit_file(BIT_FLIP_ENC)
-        assert main(["run", path, "--input", "100", "--parallel"]) == 0
-        assert capsys.readouterr().out.strip() == "111 1.0 0.0"
-
 
 class TestExamplesCommand:
+    def test_deep_ghz_builds(self, capsys):
+        # 1500 levels of the recursive definition, past the interpreter stack.
+        assert main(["examples", "ghz", "--n", "1500"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["ops"]) == 1501
+
     def test_ghz_structure(self):
         circ = example_circuit("ghz", 4)
         assert circ.n == 5

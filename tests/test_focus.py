@@ -192,15 +192,6 @@ class TestFocusApply:
             ref = focus_apply_reference(lens, g, s)
             assert fast.max_dev(ref) <= 1e-12
 
-    def test_worker_split_matches_serial(self):
-        rng = np.random.default_rng(SEED)
-        s = random_state(14, 2, rng)
-        lens = Lens(14, (9, 3))
-        g = random_gate(2, 2, rng)
-        serial = focus_apply(lens, g, s)
-        threaded = focus_apply(lens, g, s, workers=4)
-        assert serial.max_dev(threaded) <= 1e-12
-
     def test_gate_must_be_square(self):
         with pytest.raises(ShapeMismatch):
             focus_apply(Lens(3, (0,)), Gate(np.zeros((4, 2))), zero_state(3))

@@ -121,6 +121,18 @@ class TestCompose:
         with pytest.raises(ArityMismatch):
             Lens(3, (0, 2)).compose(Lens(3, (1,)))
 
+    def test_result_equals_a_validated_lens(self):
+        got = Lens(5, (4, 0, 2, 1)).compose(Lens(4, (2, 0, 3)))
+        assert got == Lens(5, (2, 4, 1))
+        assert got.complement == Lens(5, (0, 3))
+
+    def test_outside_indices_still_validated(self):
+        # compose and complement skip validation; the constructor does not.
+        with pytest.raises(DuplicateIndex):
+            Lens(3, (0, 0))
+        with pytest.raises(IndexOutOfRange):
+            Lens(3, (3,))
+
 
 class TestFactorize:
     def test_swapped_pair(self):
