@@ -239,6 +239,17 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         v = tuple(int(x) for x in rng.integers(0, q, size=n))
         classical.see(_classical_dev(lens, rng.permutation(q**m), v, q),
                       f"n={n} lens={list(lens.idx)}")
+    # Wires adjacent but unsorted, and a permutation through every row in
+    # one cycle: the step takes the np.take kernel, which relabels lens
+    # digits into axis order.
+    for m in (2, 3, 2, 3):
+        wires = int(rng.integers(0, n - m + 1)) + rng.permutation(m)
+        if (np.diff(wires) > 0).all():
+            wires = wires[::-1]
+        lens = Lens(n, tuple(int(w) for w in wires))
+        perm = _random_cycle(q**m, rng)
+        v = tuple(int(x) for x in rng.integers(0, q, size=n))
+        classical.see(_classical_dev(lens, perm, v, q), f"n={n} lens={list(lens.idx)}")
 
     # Drawn from their own generator, so the draws above stay as they were.
     fusion = _Law("fusion_equivalence", 1e-10)
@@ -258,6 +269,15 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
              natural, classical, fusion)]
+
+
+def _random_cycle(size: int, rng: np.random.Generator) -> np.ndarray:
+    """A random permutation of range(size) that is one cycle through every
+    element."""
+    order = rng.permutation(size)
+    perm = np.empty_like(order)
+    perm[order] = np.roll(order, 1)
+    return perm
 
 
 def _random_mixed_circuit(n: int, q: int, rng: np.random.Generator) -> circuits.Circuit:

@@ -77,26 +77,28 @@ class Circuit:
                      _trusted=True)
 
     def fused(self, max_wires: int) -> Circuit:
-        """An equivalent circuit whose runs of dense steps on at most
-        ``max_wires`` wires in all are each one step.
+        """An equivalent circuit whose runs of dense steps, and runs of 0/1
+        permutation steps, on at most ``max_wires`` wires in all are each one
+        step.
 
         By focus_comp and focus_lens_comp, steps on the wires W of a cluster
         equal one step along Lens(n, W) whose gate is their product on W.
-        Walking the steps in order, a dense step may join the latest cluster
-        that touches its wires or any later one, since it commutes with
-        everything after that; it joins the one it overlaps most whose union
-        with it stays within ``max_wires``, or starts a cluster.  A 0/1
-        permutation step is never fused and keeps its Step object (so it
-        still takes the in-place kernel), but it orders the steps on its
-        wires.  Running the result does not fuse it again.
+        Walking the steps in order, a step may join the latest cluster that
+        touches its wires or any later one, since it commutes with
+        everything after that; it joins the one of its own kind (dense or
+        permutation) it overlaps most whose union with it stays within
+        ``max_wires``, or starts a cluster.  A product of 0/1 permutations
+        is an exact 0/1 permutation, so a permutation cluster still takes an
+        in-place permutation kernel; a cluster of one step keeps its Step
+        object.  Running the result does not fuse it again.
         """
         items: list[tuple[list[Step], dict[int, None], bool]] = []
         for step in self.steps:
             wires = dict.fromkeys(step.lens.idx)
             dense = _permutation_rows(step.gate.mat) is None
-            start = _earliest_join(items, wires) if dense else len(items)
-            fits = [(len(items[j][1].keys() & wires), j) for j in range(start, len(items))
-                    if items[j][2] and len(items[j][1].keys() | wires) <= max_wires]
+            fits = [(len(items[j][1].keys() & wires), j)
+                    for j in range(_earliest_join(items, wires), len(items))
+                    if items[j][2] == dense and len(items[j][1].keys() | wires) <= max_wires]
             if fits:
                 group, joined, _ = items[max(fits)[1]]
                 group.append(step)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gates import Gate, apply_to_blocks, check_dense_size
 from .lens import Lens
-from .state import State, ket, tuple_to_index
+from .state import State, check_working_set, ket, tuple_to_index
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
 
 
 # Permutation steps move row blocks chunk by chunk: a chunk of at most this
-# many bytes stays in cache across the copies that rotate one cycle.  On a
+# many bytes stays in cache across the copies that rotate one cycle, or
+# between an np.take into the spare buffer and the copy back.  On a
 # 2-vCPU Xeon at n = 20 (16 MiB state), 1 MiB chunks cut an in-place CNOT by
 # about a third on most wire pairs (wires (18, 19): 4.1 -> 2.6 ms) and a
 # `qlens run` of GHZ-20 from 58 to 38 ms.
@@ -190,6 +191,37 @@ def _permute_blocks(buf: np.ndarray, shape: tuple[int, ...], axes: list[int],
             np.copyto(blocks[cycle[-1]][at], tmp)
 
 
+def _take_rows(buf: np.ndarray, axes: list[int], rows: np.ndarray, q: int,
+               spare: np.ndarray) -> None:
+    """Row block i of buf becomes its row block rows[i], in place, when the
+    lens ``axes`` are adjacent (in any order among themselves).
+
+    buf is viewed as (A, q**m, C), C holding the inner wires and the batch
+    axis; the row map is rewritten from lens digit order into axis order.
+    Each chunk of at most _CHUNK_BYTES is taken into ``spare`` with one
+    np.take and copied back, chunking along A, and along C as well when one
+    (q**m, C) slab is larger than a chunk.
+    """
+    m, lead = len(axes), min(axes)
+    lens_of = np.arange(q**m).reshape((q,) * m).transpose(np.argsort(axes)).reshape(-1)
+    axis_rows = np.argsort(lens_of)[rows[lens_of]]
+    view = buf.reshape(q**lead, q**m, -1)
+    slab, c_len = view[0].nbytes, view.shape[2]
+    # C splits into n_c chunks, row r of chunk c at row r * n_c + c, so
+    # np.take reads a contiguous array (it would copy a strided one first).
+    n_c = next((d for d in range(1, c_len + 1)
+                if c_len % d == 0 and slab // d <= _CHUNK_BYTES), c_len)
+    view = view.reshape(q**lead, q**m * n_c, -1)
+    a_step, flat = max(_CHUNK_BYTES // slab, 1), spare.reshape(-1)
+    for a in range(0, len(view), a_step):
+        part = view[a:a + a_step]
+        for c in range(n_c):
+            dst = part[:, c::n_c]
+            tmp = flat[:dst.size].reshape(dst.shape)
+            np.take(part, axis_rows * n_c + c, axis=1, out=tmp, mode="clip")
+            np.copyto(dst, tmp)
+
+
 def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
                  amps: np.ndarray | None) -> np.ndarray:
     """Focused action of (lens, gate) steps, left to right, on amplitudes of
@@ -199,20 +231,29 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
 
     The state stays curried between steps; ``order[k]`` is the wire held on
     axis k.  A step whose gate is a 0/1 permutation matrix only relabels
-    basis tuples: on a state of at least _PERM_MIN_SIZE amplitudes it
-    rotates the row blocks of each non-trivial cycle in place, wherever its
-    lens wires sit, and leaves ``order`` alone (an identity step does
-    nothing).  Any other step gathers its lens wires to the front with one
-    copy (none when they already lead in lens order) and runs one
+    basis tuples: on a state of at least _PERM_MIN_SIZE amplitudes it moves
+    row blocks in place and leaves ``order`` alone (an identity step does
+    nothing).  Rotating the non-trivial cycles copies one block per moved
+    row plus one per cycle, while one np.take pass (_take_rows) writes every
+    row into a cache-sized chunk and copies it back.  So the step takes
+    np.take when its lens wires sit on adjacent axes (in any order) and the
+    cycles would copy at least q**m blocks, and rotates the cycles
+    (_permute_blocks, wherever the lens wires sit) otherwise: a lone CNOT,
+    swap or Toffoli rotates 3 blocks, a fused GHZ cluster moves 30 of 32
+    rows in 6 cycles.  Any other step gathers its lens wires to the front
+    with one copy (none when they already lead in lens order) and runs one
     q**m x q**m by q**m x q**(n-m)*B matrix product.  Index
     arithmetic is exactly curry's merge(lens, v, w) encoding, the untouched
     wires keeping their current relative order.  The wire order is restored
     once at the end.  Copies and products alternate between two buffers;
     a caller's ``amps`` is never written (a permutation as the first step
     first copies it into the first buffer) and the batch axis trails along
-    untouched.
+    untouched.  Before allocating, the working set (the caller's ``amps``
+    and two buffers, or two buffers for the identity) must fit
+    MAX_STATE_ENTRIES.
     """
     owned = amps is None
+    check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
     if owned:
         amps = np.eye(q**n, dtype=np.complex128)
     shape = (q,) * n + amps.shape[1:]
@@ -235,12 +276,17 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
         wires = list(lens.idx)
         perm = _permutation_rows(gate.mat) if cur.size >= _PERM_MIN_SIZE else None
         if perm is not None:
-            if (perm != np.arange(len(perm))).any():
+            moved = int((perm != np.arange(len(perm))).sum())
+            if moved:
                 if cur is amps and not owned:
                     np.copyto(bufs[0], amps)
                     cur = bufs[0]
-                _permute_blocks(cur, shape, [order.index(w) for w in wires], perm, q,
-                                other(cur))
+                axes = [order.index(w) for w in wires]
+                if (max(axes) - min(axes) == lens.m - 1
+                        and moved + len(_cycles(perm)) >= len(perm)):
+                    _take_rows(cur, axes, perm, q, other(cur))
+                else:
+                    _permute_blocks(cur, shape, axes, perm, q, other(cur))
             continue
         if order[:lens.m] != wires:
             gather(wires + [w for w in order if w not in lens.idx])

@@ -40,6 +40,15 @@ def check_allocation(n: int, q: int, max_entries: int | None = None) -> int:
     return q**n
 
 
+def check_working_set(arrays: int, entries: int) -> None:
+    """Validate that ``arrays`` arrays of ``entries`` amplitudes each fit the
+    guard together, before any of them is allocated."""
+    if arrays * entries > MAX_STATE_ENTRIES:
+        raise SizeGuardExceeded(
+            f"{arrays} arrays of {entries} amplitudes exceed guard {MAX_STATE_ENTRIES}"
+        )
+
+
 def tuple_to_index(v: Sequence[int], q: int) -> int:
     """Flat position of a basis tuple under the big-endian encoding."""
     pos = 0

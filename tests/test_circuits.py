@@ -28,11 +28,12 @@ from qlens import (
     random_state,
     reversal_circuit,
     shor_components,
+    swap,
     zero_state,
 )
 from qlens.checks import _random_mixed_circuit
 from qlens.circuits import FUSE_WIRES
-from qlens.focus import _focus_steps
+from qlens.focus import _focus_steps, _permutation_rows
 from _helpers import random_gate, random_lens, random_steps
 
 SEED = 60609
@@ -222,15 +223,37 @@ class TestFusion:
         assert [st.lens.idx for st in fused.steps] == [(0, 2), (0, 1)]
         assert fused.steps[1] is cx
 
-    @pytest.mark.parametrize("circ", [ghz_circuit(15), reversal_circuit(16)],
-                             ids=["ghz16", "reversal16"])
-    def test_permutation_steps_pass_through_bit_identical(self, circ):
+    @pytest.mark.parametrize("circ, clusters", [
+        (ghz_circuit(15), [(0,), (0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10, 11, 12),
+                           (12, 13, 14, 15)]),
+        (reversal_circuit(16), [(0, 15, 1, 14), (2, 13, 3, 12), (4, 11, 5, 10),
+                                (6, 9, 7, 8)]),
+    ], ids=["ghz16", "reversal16"])
+    def test_permutation_runs_fuse_apart_from_dense_bit_identical(self, circ, clusters):
         fused = circ._fused
-        assert len(fused.steps) == len(circ.steps)
-        assert all(a is b for a, b in zip(fused.steps, circ.steps))
+        assert [st.lens.idx for st in fused.steps] == clusters
+        assert all(st.lens.m <= FUSE_WIRES for st in fused.steps)
+        # The one dense step (GHZ's Hadamard) stays alone; every other step
+        # is a 0/1 permutation cluster, so no cluster mixes the two kinds.
+        dense = [st for st in fused.steps if _permutation_rows(st.gate.mat) is None]
+        raw_dense = [st for st in circ.steps if _permutation_rows(st.gate.mat) is None]
+        assert len(dense) == len(raw_dense)
+        assert all(a is b for a, b in zip(dense, raw_dense))
         s = random_state(16, 2, np.random.default_rng(SEED))
         raw = _focus_steps(16, 2, ((st.lens, st.gate) for st in circ.steps), s.amps)
         assert np.array_equal(circ.run(s).amps, raw)
+
+    def test_dense_and_permutation_steps_never_share_a_cluster(self):
+        # u may not join the CNOT's cluster; the swap commutes past u and joins it.
+        rng = np.random.default_rng(SEED)
+        cx, u = Step(Lens(3, (0, 1)), cnot()), Step(Lens(3, (0,)), random_gate(1, 2, rng))
+        circ = Circuit(3, (cx, u, Step(Lens(3, (1, 2)), swap())))
+        fused = circ.fused(3)
+        assert [st.lens.idx for st in fused.steps] == [(0, 1, 2), (0,)]
+        assert _permutation_rows(fused.steps[0].gate.mat) is not None
+        assert fused.steps[1] is u
+        s = random_state(3, 2, rng)
+        assert fused.run(s).max_dev(reference_run(circ, s)) <= 1e-12
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_to_gate_matches_oracle_and_reference(self, q):

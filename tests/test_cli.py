@@ -29,6 +29,7 @@ from qlens.cli import (
     main,
     parse_circuit,
 )
+import qlens.state as state_module
 from qlens.gates import builtin_names
 from _helpers import random_gate, random_lens
 
@@ -293,6 +294,16 @@ class TestRunCommand:
         state_path.write_text("0" * 15000 + " 1 0\n")
         assert main(["run", path, "--input", str(state_path)]) == 2
         assert "guard" in capsys.readouterr().err
+
+    def test_run_past_the_working_set_guard_exit_code(self, circuit_file, monkeypatch, capsys):
+        # A 10-wire ket fits a guard of 2**10 amplitudes; the run's input and
+        # its two buffers (3 * 2**10 amplitudes) do not.
+        path = circuit_file({"wires": 10, "ops": [{"gate": "hadamard", "lens": [0]}]})
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2**10)
+        assert main(["run", path, "--input", "0" * 10]) == 2
+        assert "guard" in capsys.readouterr().err
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 3 * 2**10)
+        assert main(["run", path, "--input", "0" * 10]) == 0
 
 
 class TestExamplesCommand:

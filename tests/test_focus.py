@@ -21,6 +21,7 @@ from qlens import (
     focus_apply_reference,
     focus_as_gate,
     focus_on_basis,
+    ghz_circuit,
     hadamard,
     identity,
     ket,
@@ -29,11 +30,15 @@ from qlens import (
     map_blocks,
     merge_state,
     random_state,
+    swap,
+    toffoli,
     tuple_to_index,
     uncurry,
     zero_state,
 )
 import qlens.focus as focus_module
+import qlens.state as state_module
+from qlens.checks import _random_cycle
 from qlens.focus import _focus_amps, _focus_steps, _permutation_rows
 from _helpers import max_entry, random_gate, random_lens, random_steps
 
@@ -345,6 +350,12 @@ def permutation_gate(rows, m, q):
     return Gate(mat, m, m, q)
 
 
+def one_cycle_gate(m, q, rng):
+    """A 0/1 gate whose rows form one cycle: every row moves, so rotating
+    it would copy q**m + 1 blocks and the step takes np.take."""
+    return permutation_gate(_random_cycle(q**m, rng), m, q)
+
+
 def permutation_cases(q, rng):
     """Named (n, steps) cases of 0/1 permutation steps, one per lens class."""
     if q == 2:
@@ -369,6 +380,16 @@ def permutation_cases(q, rng):
                       (Lens(n, (1, 0)), dense[1]), (Lens(n, (0,)), shift),
                       (Lens(n, (2, n - 1, 0)), three), (Lens(n, (3, 1)), dense[2]),
                       (Lens(n, (1, 2)), two)]),
+        # Adjacent lens axes and one cycle through every row: these take
+        # np.take, the first three as the first step, on the caller's array.
+        "take_leading": (n, [(Lens(n, (0, 1, 2)), one_cycle_gate(3, q, rng))]),
+        "take_middle": (n, [(Lens(n, (1, 2)), one_cycle_gate(2, q, rng))]),
+        "take_innermost": (n, [(Lens(n, (n - 2, n - 1)), one_cycle_gate(2, q, rng))]),
+        "take_unsorted": (n, [(Lens(n, (3, 2, 1)), one_cycle_gate(3, q, rng))]),
+        # the dense step gathers wire 2 to the front: wires (3, 1) become adjacent
+        "take_after_gather": (n, [(Lens(n, (2,)), dense[0]),
+                                  (Lens(n, (3, 1)), one_cycle_gate(2, q, rng)),
+                                  (Lens(n, (0, 2)), one_cycle_gate(2, q, rng))]),
     }
 
 
@@ -376,13 +397,16 @@ PERMUTATION_CASES = list(permutation_cases(2, np.random.default_rng(0)))
 
 
 class TestPermutationKernel:
-    """0/1 permutation steps move rows in place, bit-identical to gather + GEMM."""
+    """0/1 permutation steps move rows in place, bit-identical to gather + GEMM:
+    by rotating cycles, or by np.take when the lens axes are adjacent and
+    most rows move."""
 
     @pytest.fixture(autouse=True)
     def small_states_take_the_kernel(self, monkeypatch):
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
 
-    @pytest.mark.parametrize("chunk", [None, 64], ids=["one_chunk", "tiny_chunks"])
+    @pytest.mark.parametrize("chunk", [None, 64, 128],
+                             ids=["one_chunk", "tiny_chunks", "small_chunks"])
     @pytest.mark.parametrize("b", [None, 3], ids=["vector", "batch"])
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("case", PERMUTATION_CASES)
@@ -395,7 +419,12 @@ class TestPermutationKernel:
         before = amps.copy()
         if chunk is not None:
             monkeypatch.setattr(focus_module, "_CHUNK_BYTES", chunk)
+        taken = []
+        real = focus_module._take_rows
+        monkeypatch.setattr(focus_module, "_take_rows", lambda *a: taken.append(1) or real(*a))
         got = _focus_steps(n, q, steps, amps)
+        if case.startswith("take_"):
+            assert len(taken) == sum(_permutation_rows(g.mat) is not None for _, g in steps)
         assert np.array_equal(amps, before)
         with monkeypatch.context() as patched:
             patched.setattr(focus_module, "_permutation_rows", lambda mat: None)
@@ -455,6 +484,84 @@ class TestPermutationKernel:
         for j in range(2):
             want = focus_apply_reference(*steps[0], State(5, 2, batch[:, j])).amps
             assert max_entry(got_batch[:, j], want) <= 1e-12
+
+    @pytest.mark.parametrize("chunk, calls, out_shape", [(512, 2, (2, 4, 4)),
+                                                         (128, 8, (1, 4, 2))],
+                             ids=["along_a", "along_c"])
+    def test_take_chunks_stay_within_chunk_bytes(self, monkeypatch, chunk, calls, out_shape):
+        # n = 6, lens (3, 2): the state views as (A, 4, C) = (4, 4, 4), one
+        # (4, C) slab being 256 bytes.
+        rng = np.random.default_rng(SEED)
+        steps = [(Lens(6, (3, 2)), one_cycle_gate(2, 2, rng))]
+        amps = random_state(6, 2, rng).amps
+        shapes = []
+        real = np.take
+        monkeypatch.setattr(focus_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(np, "take", lambda a, idx, **k: shapes.append(k["out"].shape)
+                            or real(a, idx, **k))
+        got = _focus_steps(6, 2, steps, amps)
+        monkeypatch.undo()
+        assert shapes == [out_shape] * calls
+        assert math.prod(out_shape) * 16 <= chunk
+        assert np.array_equal(got, focus_apply_reference(*steps[0], State(6, 2, amps)).amps)
+
+    def test_routing_between_kernels(self, monkeypatch):
+        # CNOT, swap and Toffoli rotate 3 blocks of 4 or 8, a lens on wires
+        # that are not adjacent cannot be viewed as (A, q**m, C), and a
+        # fused GHZ cluster moves 30 of its 32 rows in 6 cycles.
+        rng = np.random.default_rng(SEED)
+        ghz = ghz_circuit(4)._fused.steps[1]
+        cases = [((1, 2), cnot(), "cycles"), ((2, 3), swap(), "cycles"),
+                 ((1, 2, 3), toffoli(), "cycles"), ((3, 1), one_cycle_gate(2, 2, rng), "cycles"),
+                 ((0, 1, 2, 3, 4), ghz.gate, "take"), ((3, 2), one_cycle_gate(2, 2, rng), "take")]
+        amps = random_state(6, 2, rng).amps
+        for wires, gate, kernel in cases:
+            calls = []
+            with monkeypatch.context() as patched:
+                for name, label in (("_permute_blocks", "cycles"), ("_take_rows", "take")):
+                    real = getattr(focus_module, name)
+                    patched.setattr(focus_module, name, lambda *a, real=real, label=label:
+                                    calls.append(label) or real(*a))
+                got = _focus_steps(6, 2, [(Lens(6, wires), gate)], amps)
+            assert calls == [kernel], wires
+            want = focus_apply_reference(Lens(6, wires), gate, State(6, 2, amps)).amps
+            assert np.array_equal(got, want)
+
+
+class TestWorkingSetGuard:
+    """_focus_steps refuses a working set past MAX_STATE_ENTRIES before it
+    allocates: the input and two buffers, or two buffers for a collapse."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("allocated past the guard")
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "eye", refuse)
+
+    def test_run_counts_input_and_two_buffers(self, monkeypatch):
+        amps = np.zeros((2**6, 2), dtype=complex)
+        amps[0] = 1
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 3 * 2**7)
+        assert np.array_equal(_focus_steps(6, 2, [(Lens(6, ()), identity(0))], amps), amps)
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 3 * 2**7 - 1)
+        with pytest.raises(SizeGuardExceeded):
+            _focus_steps(6, 2, [(Lens(6, (0,)), hadamard())], amps)
+
+    def test_collapse_counts_two_buffers(self, monkeypatch):
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 4**5)
+        assert focus_as_gate(Lens(5, (1,)), hadamard()).wires == 5
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 4**5 - 1)
+        with pytest.raises(SizeGuardExceeded):
+            focus_as_gate(Lens(5, (1,)), hadamard())
+
+    def test_refused_before_allocating(self, monkeypatch, no_allocation):
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2**10)
+        amps = np.zeros(2**10, dtype=complex)
+        with pytest.raises(SizeGuardExceeded):
+            _focus_steps(10, 2, [(Lens(10, (0,)), hadamard())], amps)
+        with pytest.raises(SizeGuardExceeded):
+            _focus_steps(10, 2, [(Lens(10, (0,)), hadamard())], None)
 
 
 class TestFocusAlgebra:
