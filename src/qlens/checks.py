@@ -15,6 +15,7 @@ import numpy as np
 from . import circuits
 from .focus import (
     _PERM_MIN_SIZE,
+    _focus_steps,
     curry,
     focus_apply,
     focus_apply_reference,
@@ -265,6 +266,31 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         fusion.see(circ.run(s).max_dev(want), f"{where} default")
         for k in range(2, 6):
             fusion.see(circ.fused(k).run(s).max_dev(want), f"{where} k={k}")
+    # States past _PERM_MIN_SIZE and with runs past _RUN_MIN, as one vector
+    # and as three columns: both permutation kernels, products on a lens
+    # block where it sits, and the layout each gather leaves for the next
+    # step.
+    for q_big, low, high in ((2, 12, 14), (3, 9, 10)):
+        for batch in (1, 3):
+            circ = _random_mixed_circuit(int(rng.integers(low, high + 1)), q_big, rng)
+            cols = [random_state(circ.n, circ.q, rng) for _ in range(batch)]
+            amps = np.stack([s.amps for s in cols], axis=1)
+            want = []
+            for s in cols:
+                for step in circ.steps:
+                    s = focus_apply_reference(step.lens, step.gate, s)
+                want.append(s.amps)
+            want = np.stack(want, axis=1)
+            where = (f"n={circ.n} q={circ.q} batch={batch} "
+                     f"lenses={[list(st.lens.idx) for st in circ.steps]}")
+            for k in (None, 2, 3, 4, 5):
+                fused = circ if k is None else circ.fused(k)
+                if batch == 1:
+                    got = fused.run(cols[0]).amps[:, None]
+                else:
+                    pairs = [(st.lens, st.gate) for st in fused._fused.steps]
+                    got = _focus_steps(circ.n, circ.q, pairs, amps)
+                fusion.see(float(np.max(np.abs(got - want))), f"{where} k={k or 'default'}")
 
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,174 +129,300 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
 # about a third on most wire pairs (wires (18, 19): 4.1 -> 2.6 ms) and a
 # `qlens run` of GHZ-20 from 58 to 38 ms.
 _CHUNK_BYTES = 1 << 20
-# Below this many amplitudes (batch axis included) a permutation step takes
-# gather + GEMM: detecting the permutation and building the row views cost
-# about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us at 2**8
-# amplitudes, 32 us at 2**13 and 61 us at 2**14 (kernel there: 56 us).
+# Below this many amplitudes (batch axis included) a permutation step is
+# planned as a dense one: detecting the permutation and building the row
+# views cost about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us
+# at 2**8 amplitudes, 32 us at 2**13 and 61 us at 2**14 (kernel there:
+# 56 us).  Circuit.run plans once, but focus_apply, focus_as_gate and
+# parallel_gate plan on every call.
 _PERM_MIN_SIZE = 1 << 14
+# A lens block on contiguous axes views the state as (A, q**m, C), C being
+# the contiguous run of amplitudes (batch axis included) behind each row.
+# From this run length up, a dense step multiplies the block where it sits
+# (one batched matmul, no gather); below it, the step gathers its wires to
+# the front unless they lead already.  On a 2-vCPU Xeon at n = 20 (median
+# of 21, one copy of the state 1.3-1.5 ms), the product on a middle block
+# of 1-5 wires beat gather + leading product from C = 2**8-2**9 up (5
+# wires: 4.9 against 6.0 ms at 2**9, 6.6 against 6.0 ms at 2**7) and lost
+# up to 8x at C <= 2**2.
+_RUN_MIN = 1 << 9
 
 
 def _permutation_rows(mat: np.ndarray) -> np.ndarray | None:
-    """rows with mat[i, rows[i]] == 1, when mat is a 0/1 permutation matrix."""
-    ones = mat == 1
-    if (ones | (mat == 0)).all() and (ones.sum(0) == 1).all() and (ones.sum(1) == 1).all():
-        return ones.argmax(axis=1)
+    """rows with mat[i, rows[i]] == 1, when mat is a 0/1 permutation matrix.
+
+    The nonzero count comes first, so a dense gate is turned away in one
+    pass; q**m nonzero entries, each row's first one equal to 1 and no
+    column met twice leave nothing but a permutation."""
+    if np.count_nonzero(mat) != len(mat):
+        return None
+    rows = (mat != 0).argmax(axis=1)
+    if (mat[np.arange(len(mat)), rows] == 1).all() and np.unique(rows).size == len(mat):
+        return rows
     return None
 
 
 def _cycles(rows: np.ndarray) -> list[list[int]]:
     """Non-trivial cycles c of the row map: new row c[k] is old row c[k+1]."""
-    seen = rows == np.arange(len(rows))
+    rows = rows.tolist()
+    seen = [row == i for i, row in enumerate(rows)]
     cycles = []
     for start in range(len(rows)):
         cycle, j = [], start
         while not seen[j]:
             seen[j] = True
             cycle.append(j)
-            j = int(rows[j])
+            j = rows[j]
         if cycle:
             cycles.append(cycle)
     return cycles
 
 
-def _permute_blocks(buf: np.ndarray, shape: tuple[int, ...], axes: list[int],
-                    rows: np.ndarray, q: int, spare: np.ndarray) -> None:
-    """Row block i of buf becomes its row block rows[i], in place.
+def _in_axis_order(mat: np.ndarray, axes: list[int], q: int) -> np.ndarray:
+    """The gate ``mat``, whose rows and columns count the lens digits in lens
+    order, rewritten to count them in the order of the ``axes`` that hold the
+    lens wires.  Reordering the wires of a block only conjugates the gate by
+    a permutation (the basis/permutation split of Lens.factorize)."""
+    if axes == sorted(axes):
+        return mat
+    m = len(axes)
+    lens_of = np.arange(q**m).reshape((q,) * m).transpose(np.argsort(axes)).reshape(-1)
+    return mat.take(lens_of, axis=0).take(lens_of, axis=1)
 
-    The buffers hold shape (q,)*n plus an optional batch axis; ``axes`` hold
-    the lens wires in lens order, and row block i fixes them to the digits
-    of i.  The non-trivial cycles rotate through ``spare`` (a buffer as
-    large), chunk by chunk along the blocks' leading axes; fixed rows are
-    not touched.
-    """
-    buf = buf.reshape(shape)
-    blocks = []
-    for i in range(len(rows)):
-        index = [slice(None)] * buf.ndim
+
+class Gather(NamedTuple):
+    """Copy the state into the other buffer with its axes (q,)*n plus the
+    batch axis transposed by ``axes``."""
+
+    shape: tuple[int, ...]
+    axes: tuple[int, ...]
+
+
+class Gemm(NamedTuple):
+    """Multiply the state, viewed as (A, q**m, C), by ``mat`` (in axis order)
+    along the middle axis, into the other buffer."""
+
+    mat: np.ndarray
+    A: int
+    C: int
+
+
+class Permute(NamedTuple):
+    """Rotate each cycle c of row blocks in place, new row block c[k] being
+    old row block c[k + 1]; row block i is the state indexed by
+    ``index[i]``, the lens axes fixed to the digits of i.  Blocks move chunk
+    by chunk over their leading axes, of sizes ``chunks``; one chunk has
+    shape ``tail``."""
+
+    shape: tuple[int, ...]
+    index: dict[int, tuple]
+    cycles: tuple[tuple[int, ...], ...]
+    chunks: tuple[int, ...]
+    tail: tuple[int, ...]
+
+
+class Take(NamedTuple):
+    """Row r of the state viewed as (A, q**m, C) becomes its row rows[r], in
+    place, for a row map ``rows`` in axis order.  C splits into len(index)
+    interleaved chunks, row r of chunk c at row r * len(index) + c, and
+    index[c] = rows * len(index) + c, so np.take reads a contiguous array
+    (it would copy a strided one first); ``a_step`` slabs of A go in one
+    chunk."""
+
+    A: int
+    a_step: int
+    index: np.ndarray
+
+
+def _permute_op(shape: tuple[int, ...], axes: list[int], cycles: list[list[int]],
+                q: int) -> Permute:
+    """Permute for the ``cycles`` of a row map in axis order on the sorted
+    lens ``axes``."""
+    m = len(axes)
+    index = {}
+    for i in (i for cycle in cycles for i in cycle):
+        at = [slice(None)] * len(shape)
         for pos, a in enumerate(axes):
-            index[a] = i // q ** (len(axes) - 1 - pos) % q
-        blocks.append(buf[tuple(index) + (Ellipsis,)])
-    inner, lead, nchunks = blocks[0].shape, 0, 1
-    while lead < len(inner) and buf.nbytes > _CHUNK_BYTES * nchunks:
+            at[a] = i // q ** (m - 1 - pos) % q
+        index[i] = tuple(at) + (Ellipsis,)
+    inner = [d for a, d in enumerate(shape) if a not in axes]
+    lead, nchunks = 0, 1
+    while lead < len(inner) and 16 * math.prod(shape) > _CHUNK_BYTES * nchunks:
         nchunks *= inner[lead]
         lead += 1
-    tmp = spare.reshape(-1)[:math.prod(inner[lead:])].reshape(inner[lead:])
-    cycles = _cycles(rows)
-    for chunk in product(*map(range, inner[:lead])):
+    return Permute(shape, index, tuple(map(tuple, cycles)), tuple(inner[:lead]),
+                   tuple(inner[lead:]))
+
+
+def _take_op(A: int, rows: np.ndarray, C: int) -> Take:
+    """Take for ``rows`` (in axis order) on the (A, q**m, C) view, each chunk
+    of at most _CHUNK_BYTES: along A, and along C as well when one
+    (q**m, C) slab is larger than a chunk."""
+    slab = 16 * len(rows) * C
+    n_c = next((d for d in range(1, C + 1) if C % d == 0 and slab // d <= _CHUNK_BYTES), C)
+    return Take(A, max(_CHUNK_BYTES // slab, 1), rows * n_c + np.arange(n_c)[:, None])
+
+
+def _layout(order: list[int], front: list[int]) -> list[int]:
+    """``front``, then the other wires in their ``order``, except that their
+    longest run on consecutive axes (the last of the longest) goes last."""
+    runs: list[list[int]] = []
+    for w in order:
+        if w in front:
+            continue
+        if runs and order.index(w) == order.index(runs[-1][-1]) + 1:
+            runs[-1].append(w)
+        else:
+            runs.append([w])
+    last = max(reversed(runs), key=len, default=[])
+    return front + [w for run in runs if run is not last for w in run] + last
+
+
+def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
+          batch: int | None) -> tuple[Gather | Gemm | Permute | Take, ...]:
+    """Ops that apply (lens, gate) steps, left to right, to amplitudes of
+    shape (q**n,) (``batch`` None) or (q**n, batch), unchecked.
+
+    The state stays curried between steps; ``order[k]`` is the wire held on
+    axis k, and a step's lens wires sit on axes of (A, q**m, C), C the run
+    of amplitudes behind them.  An identity step gives no op.
+
+    A step whose gate is a 0/1 permutation matrix only relabels basis
+    tuples (detected from _PERM_MIN_SIZE amplitudes up): it moves row blocks
+    in place and leaves ``order`` alone.  Rotating the non-trivial cycles of
+    row blocks (Permute), each block a strided view wherever the lens wires
+    sit, copies one block per moved row plus one per cycle, while one
+    np.take pass (Take) writes every row into a cache-sized chunk and copies
+    it back.  So the step takes np.take when its lens wires sit on adjacent
+    axes and the cycles would copy at least q**m blocks (a fused GHZ
+    cluster: 30 of 32 rows moved, in 6 cycles), and rotates the cycles
+    otherwise (a lone CNOT, swap or Toffoli: 3 blocks of 4 or 8).
+
+    A dense step whose lens wires already sit on adjacent axes, in any
+    order, runs one matrix product where they sit (Gemm), when they lead
+    (A = 1) or C is at least _RUN_MIN: a batched matmul over short rows is
+    up to 30x slower.  Otherwise it first gathers (Gather) with one copy,
+    laying the axes out as [this step only | shared with the next step |
+    next step only | the rest], so that the next step's wires are adjacent
+    too.  The rest keep their current order,
+    except that their longest run of consecutive axes goes last: the copy's
+    inner loop walks that run, and a copy whose inner loop walks one or two
+    amplitudes costs several copies of the state.  A gate on wires placed
+    out of lens order is conjugated into axis order once, here, unless it
+    is as large as the state: then its wires are gathered in lens order.
+    The wire order is restored by one Gather at the end.
+    """
+    shape, steps = (q,) * n + (() if batch is None else (batch,)), list(steps)
+    size, trail = math.prod(shape), tuple(range(n, len(shape)))
+    order: list[int] = list(range(n))
+    plan: list[Gather | Gemm | Permute | Take] = []
+
+    def place(wires: list[int]) -> tuple[list[int], int, int, bool]:
+        axes = [order.index(w) for w in wires]
+        lo, hi = min(axes, default=0), max(axes, default=-1)
+        return axes, q**lo, size // q ** (hi + 1), hi - lo == len(axes) - 1
+
+    for k, (lens, gate) in enumerate(steps):
+        wires = list(lens.idx)
+        axes, A, C, adjacent = place(wires)
+        if size >= _PERM_MIN_SIZE and _permutation_rows(gate.mat) is not None:
+            rows = _in_axis_order(gate.mat, axes, q).argmax(axis=1)
+            cycles = _cycles(rows)
+            if adjacent and sum(map(len, cycles)) + len(cycles) >= len(rows):
+                plan.append(_take_op(A, rows, C))
+            elif cycles:
+                plan.append(_permute_op(shape, sorted(axes), cycles, q))
+            continue
+        # A gate as large as the state costs as much to conjugate as the
+        # state does to gather, and its conjugate would be one more array
+        # of that size: such a step gathers its wires in lens order.
+        large = q ** (2 * len(wires)) >= size
+        if not adjacent or (A > 1 and C < _RUN_MIN) or (large and axes != sorted(axes)):
+            nxt = list(steps[k + 1][0].idx) if k + 1 < len(steps) and not large else []
+            front = ([w for w in wires if w not in nxt] + [w for w in wires if w in nxt]
+                     + [w for w in nxt if w not in wires])
+            new = _layout(order, front)
+            plan.append(Gather(shape, tuple(order.index(w) for w in new) + trail))
+            order = new
+            axes, A, C, _ = place(wires)
+        plan.append(Gemm(_in_axis_order(gate.mat, axes, q), A, C))
+    if order != list(range(n)):
+        plan.append(Gather(shape, tuple(order.index(w) for w in range(n)) + trail))
+    return tuple(plan)
+
+
+def _permute_blocks(buf: np.ndarray, op: Permute, spare: np.ndarray) -> None:
+    """Run a Permute on buf, each cycle rotating through ``spare`` (a buffer
+    as large), chunk by chunk; fixed rows are not touched."""
+    buf = buf.reshape(op.shape)
+    blocks = {i: buf[at] for i, at in op.index.items()}
+    tmp = spare.reshape(-1)[:math.prod(op.tail)].reshape(op.tail)
+    for chunk in product(*map(range, op.chunks)):
         at = chunk + (Ellipsis,)
-        for cycle in cycles:
+        for cycle in op.cycles:
             np.copyto(tmp, blocks[cycle[0]][at])
             for here, there in zip(cycle, cycle[1:]):
                 np.copyto(blocks[here][at], blocks[there][at])
             np.copyto(blocks[cycle[-1]][at], tmp)
 
 
-def _take_rows(buf: np.ndarray, axes: list[int], rows: np.ndarray, q: int,
-               spare: np.ndarray) -> None:
-    """Row block i of buf becomes its row block rows[i], in place, when the
-    lens ``axes`` are adjacent (in any order among themselves).
-
-    buf is viewed as (A, q**m, C), C holding the inner wires and the batch
-    axis; the row map is rewritten from lens digit order into axis order.
-    Each chunk of at most _CHUNK_BYTES is taken into ``spare`` with one
-    np.take and copied back, chunking along A, and along C as well when one
-    (q**m, C) slab is larger than a chunk.
-    """
-    m, lead = len(axes), min(axes)
-    lens_of = np.arange(q**m).reshape((q,) * m).transpose(np.argsort(axes)).reshape(-1)
-    axis_rows = np.argsort(lens_of)[rows[lens_of]]
-    view = buf.reshape(q**lead, q**m, -1)
-    slab, c_len = view[0].nbytes, view.shape[2]
-    # C splits into n_c chunks, row r of chunk c at row r * n_c + c, so
-    # np.take reads a contiguous array (it would copy a strided one first).
-    n_c = next((d for d in range(1, c_len + 1)
-                if c_len % d == 0 and slab // d <= _CHUNK_BYTES), c_len)
-    view = view.reshape(q**lead, q**m * n_c, -1)
-    a_step, flat = max(_CHUNK_BYTES // slab, 1), spare.reshape(-1)
-    for a in range(0, len(view), a_step):
-        part = view[a:a + a_step]
-        for c in range(n_c):
+def _take_rows(buf: np.ndarray, op: Take, spare: np.ndarray) -> None:
+    """Run a Take on buf, each chunk taken into ``spare`` and copied back."""
+    n_c, flat = len(op.index), spare.reshape(-1)
+    view = buf.reshape(op.A, len(op.index[0]) * n_c, -1)
+    for a in range(0, op.A, op.a_step):
+        part = view[a:a + op.a_step]
+        for c, index in enumerate(op.index):
             dst = part[:, c::n_c]
             tmp = flat[:dst.size].reshape(dst.shape)
-            np.take(part, axis_rows * n_c + c, axis=1, out=tmp, mode="clip")
+            np.take(part, index, axis=1, out=tmp, mode="clip")
             np.copyto(dst, tmp)
 
 
-def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
-                 amps: np.ndarray | None) -> np.ndarray:
-    """Focused action of (lens, gate) steps, left to right, on amplitudes of
-    shape (q**n,) or (q**n, B), unchecked.  ``amps`` None stands for the
-    q**n x q**n identity, built in the first buffer: the result is then the
-    steps' dense matrix, with two state-sized buffers alive instead of three.
+def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
+             amps: np.ndarray | None) -> np.ndarray:
+    """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
+    was made for.  ``amps`` None stands for the q**n x q**n identity (batch
+    q**n), built in the first buffer: the result is then the steps' dense
+    matrix, with two state-sized buffers alive instead of three.
 
-    The state stays curried between steps; ``order[k]`` is the wire held on
-    axis k.  A step whose gate is a 0/1 permutation matrix only relabels
-    basis tuples: on a state of at least _PERM_MIN_SIZE amplitudes it moves
-    row blocks in place and leaves ``order`` alone (an identity step does
-    nothing).  Rotating the non-trivial cycles copies one block per moved
-    row plus one per cycle, while one np.take pass (_take_rows) writes every
-    row into a cache-sized chunk and copies it back.  So the step takes
-    np.take when its lens wires sit on adjacent axes (in any order) and the
-    cycles would copy at least q**m blocks, and rotates the cycles
-    (_permute_blocks, wherever the lens wires sit) otherwise: a lone CNOT,
-    swap or Toffoli rotates 3 blocks, a fused GHZ cluster moves 30 of 32
-    rows in 6 cycles.  Any other step gathers its lens wires to the front
-    with one copy (none when they already lead in lens order) and runs one
-    q**m x q**m by q**m x q**(n-m)*B matrix product.  Index
-    arithmetic is exactly curry's merge(lens, v, w) encoding, the untouched
-    wires keeping their current relative order.  The wire order is restored
-    once at the end.  Copies and products alternate between two buffers;
-    a caller's ``amps`` is never written (a permutation as the first step
-    first copies it into the first buffer) and the batch axis trails along
-    untouched.  Before allocating, the working set (the caller's ``amps``
-    and two buffers, or two buffers for the identity) must fit
-    MAX_STATE_ENTRIES.
+    Gathers and products alternate between two buffers allocated once;
+    Permute and Take work in place, and a caller's ``amps`` is never
+    written (an in-place op on it first copies it into the first buffer).
+    Before allocating, the working set (the caller's ``amps`` and two
+    buffers, or two buffers for the identity) must fit MAX_STATE_ENTRIES.
     """
     owned = amps is None
     check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
     if owned:
         amps = np.eye(q**n, dtype=np.complex128)
-    shape = (q,) * n + amps.shape[1:]
-    batch = list(range(n, len(shape)))
     bufs = (amps if owned else np.empty(amps.shape, np.complex128),
             np.empty(amps.shape, np.complex128))
-    cur, order = amps, list(range(n))
-
-    def other(buf: np.ndarray) -> np.ndarray:
-        return bufs[1] if buf is bufs[0] else bufs[0]
-
-    def gather(wires: list[int]) -> None:
-        nonlocal cur, order
-        dst = other(cur)
-        axes = [order.index(w) for w in wires]
-        np.copyto(dst.reshape(shape), cur.reshape(shape).transpose(axes + batch))
-        cur, order = dst, wires
-
-    for lens, gate in steps:
-        wires = list(lens.idx)
-        perm = _permutation_rows(gate.mat) if cur.size >= _PERM_MIN_SIZE else None
-        if perm is not None:
-            moved = int((perm != np.arange(len(perm))).sum())
-            if moved:
-                if cur is amps and not owned:
-                    np.copyto(bufs[0], amps)
-                    cur = bufs[0]
-                axes = [order.index(w) for w in wires]
-                if (max(axes) - min(axes) == lens.m - 1
-                        and moved + len(_cycles(perm)) >= len(perm)):
-                    _take_rows(cur, axes, perm, q, other(cur))
-                else:
-                    _permute_blocks(cur, shape, axes, perm, q, other(cur))
+    cur = amps
+    for op in plan:
+        spare = bufs[1] if cur is bufs[0] else bufs[0]
+        if isinstance(op, Gather):
+            np.copyto(spare.reshape(op.shape), cur.reshape(op.shape).transpose(op.axes))
+        elif isinstance(op, Gemm):
+            view = (op.A, len(op.mat), op.C)
+            np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
+        else:
+            if cur is amps and not owned:
+                np.copyto(bufs[0], amps)
+                cur, spare = bufs[0], bufs[1]
+            (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, spare)
             continue
-        if order[:lens.m] != wires:
-            gather(wires + [w for w in order if w not in lens.idx])
-        dst = other(cur)
-        rows = q**lens.m
-        np.matmul(gate.mat, cur.reshape(rows, -1), out=dst.reshape(rows, -1))
-        cur = dst
-    if order != list(range(n)):
-        gather(list(range(n)))
+        cur = spare
     return amps.copy() if cur is amps and not owned else cur
+
+
+def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
+                 amps: np.ndarray | None) -> np.ndarray:
+    """Focused action of (lens, gate) steps, left to right, on amplitudes of
+    shape (q**n,) or (q**n, B), or on the identity for ``amps`` None,
+    planned and executed in one call."""
+    batch = q**n if amps is None else (amps.shape[1] if amps.ndim == 2 else None)
+    return _execute(n, q, _plan(n, q, steps, batch), amps)
 
 
 def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:

@@ -33,11 +33,20 @@ def cycles_rotated_backwards(monkeypatch):
                         lambda rows: [c[::-1] for c in real(rows)])
 
 
-def take_skips_axis_relabel(monkeypatch):
-    # Lens digits read as if the lens wires sat on the axes in lens order.
-    real = focus_module._take_rows
-    monkeypatch.setattr(focus_module, "_take_rows", lambda buf, axes, rows, q, spare: real(
-        buf, sorted(axes), rows, q, spare))
+def axis_order_skipped(monkeypatch, dense):
+    # A gate's lens digits read as if its lens wires sat on their axes in
+    # lens order, for dense gates or for 0/1 permutations only.
+    real = focus_module._in_axis_order
+    monkeypatch.setattr(focus_module, "_in_axis_order", lambda mat, axes, q: (
+        mat if (focus_module._permutation_rows(mat) is None) == dense else real(mat, axes, q)))
+
+
+def permutation_skips_axis_order(monkeypatch):
+    axis_order_skipped(monkeypatch, dense=False)
+
+
+def dense_skips_axis_order(monkeypatch):
+    axis_order_skipped(monkeypatch, dense=True)
 
 
 def fuser_ignores_commutation(monkeypatch):
@@ -69,7 +78,8 @@ FAULTS = {
     merge_ignores_lens_order: ("lens-laws", "merge_extract"),
     lens_read_reversed: ("focus-laws", "fast_vs_reference"),
     cycles_rotated_backwards: ("focus-laws", "classical_permutation_focus"),
-    take_skips_axis_relabel: ("focus-laws", "classical_permutation_focus"),
+    permutation_skips_axis_order: ("focus-laws", "classical_permutation_focus"),
+    dense_skips_axis_order: ("focus-laws", "fusion_equivalence"),
     fuser_ignores_commutation: ("focus-laws", "fusion_equivalence"),
     gate_transposed: ("oracle", "oracle_random_unitaries"),
     parallel_operands_swapped: ("monoid", "combine_commutativity"),

@@ -386,10 +386,11 @@ def permutation_cases(q, rng):
         "take_middle": (n, [(Lens(n, (1, 2)), one_cycle_gate(2, q, rng))]),
         "take_innermost": (n, [(Lens(n, (n - 2, n - 1)), one_cycle_gate(2, q, rng))]),
         "take_unsorted": (n, [(Lens(n, (3, 2, 1)), one_cycle_gate(3, q, rng))]),
-        # the dense step gathers wire 2 to the front: wires (3, 1) become adjacent
+        # the dense step gathers wire 2 to the front and lays the next
+        # step's wires (3, 1) out behind it, adjacent; (1, 0) stays adjacent
         "take_after_gather": (n, [(Lens(n, (2,)), dense[0]),
                                   (Lens(n, (3, 1)), one_cycle_gate(2, q, rng)),
-                                  (Lens(n, (0, 2)), one_cycle_gate(2, q, rng))]),
+                                  (Lens(n, (1, 0)), one_cycle_gate(2, q, rng))]),
     }
 
 
@@ -526,6 +527,84 @@ class TestPermutationKernel:
             assert calls == [kernel], wires
             want = focus_apply_reference(Lens(6, wires), gate, State(6, 2, amps)).amps
             assert np.array_equal(got, want)
+
+
+def placement_cases(q, rng):
+    """Named (steps, op kinds of their plan) on n = 5 wires, for a run
+    length of q amplitudes per batch column: a lens block is long when
+    q**(wires behind it) >= q."""
+    n = 5
+    dense = [random_gate(m, q, rng) for m in (2, 2, 2, 1, 2, 2, n)]
+    # one 2-cycle copies 3 blocks of q**2 and rotates; one cycle through
+    # every row takes np.take on adjacent axes
+    two_cycle = permutation_gate([1, 0] + list(range(2, q**2)), 2, q)
+    cycles = [two_cycle] + [one_cycle_gate(2, q, rng) for _ in range(2)]
+    return n, {
+        "lead_in_order": ([(Lens(n, (0, 1)), dense[0])], ["Gemm1"]),
+        "lead_unsorted": ([(Lens(n, (1, 0)), dense[1])], ["Gemm1"]),
+        "middle_block": ([(Lens(n, (2, 1)), dense[2])], ["GemmA"]),
+        "innermost_gathers": ([(Lens(n, (n - 1,)), dense[3])], ["Gather", "Gemm1", "Gather"]),
+        # wires n-1 and 0 are apart: the gather lays out [n-1 | 0 | 2 | rest],
+        # so the next step runs on its block in the middle
+        "look_ahead": ([(Lens(n, (n - 1, 0)), dense[4]), (Lens(n, (0, 2)), dense[5])],
+                       ["Gather", "Gemm1", "GemmA", "Gather"]),
+        "permute": ([(Lens(n, (2, 1)), cycles[0])], ["Permute"]),
+        "permute_apart": ([(Lens(n, (n - 1, 0)), cycles[1])], ["Permute"]),
+        "take": ([(Lens(n, (n - 1, 1)), cycles[1]), (Lens(n, (n - 1, n - 2)), cycles[2])],
+                 ["Permute", "Take"]),
+        # a gate as large as the state is gathered into lens order, not
+        # conjugated
+        "large_gate": ([(Lens(n, (1, 0) + tuple(range(2, n))), dense[6])],
+                       ["Gather", "Gemm1", "Gather"]),
+    }
+
+
+PLACEMENT_CASES = list(placement_cases(2, np.random.default_rng(0))[1])
+
+
+class TestPlacement:
+    """Every op kind and placement of a plan against the reference and the
+    dense oracle: products on a leading or a middle lens block (in lens
+    order or conjugated into axis order), gathers laid out for the next
+    step, and both permutation kernels."""
+
+    @pytest.mark.parametrize("b", [None, 3], ids=["vector", "batch"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("case", PLACEMENT_CASES)
+    def test_matches_reference_and_oracle(self, monkeypatch, case, q, b):
+        rng = np.random.default_rng(SEED)
+        n, cases = placement_cases(q, rng)
+        steps, kinds = cases[case]
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+        monkeypatch.setattr(focus_module, "_RUN_MIN", q * (b or 1))
+        plan = focus_module._plan(n, q, steps, b)
+        assert [type(op).__name__ + ("" if not isinstance(op, focus_module.Gemm)
+                                     else "1" if op.A == 1 else "A") for op in plan] == kinds
+        dim = q**n
+        shape = (dim,) if b is None else (dim, b)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = amps.copy()
+        got = focus_module._execute(n, q, plan, amps)
+        assert np.array_equal(amps, before)
+        assert not np.shares_memory(got, amps)
+        product = np.eye(dim, dtype=complex)
+        for lens, g in steps:
+            product = build_full_matrix(lens, g).mat @ product
+        assert max_entry(got, product @ amps) <= 1e-10
+        for j in range(1 if b is None else b):
+            s = State(n, q, amps if b is None else amps[:, j])
+            for lens, g in steps:
+                s = focus_apply_reference(lens, g, s)
+            assert max_entry(got if b is None else got[:, j], s.amps) <= 1e-12
+
+    def test_conjugated_only_out_of_lens_order(self):
+        # A block in lens order keeps the gate's own matrix; a block in
+        # another order gets the gate conjugated into axis order once.
+        g = random_gate(2, 2, np.random.default_rng(SEED))
+        (lead,) = focus_module._plan(5, 2, [(Lens(5, (0, 1)), g)], None)
+        (swapped,) = focus_module._plan(5, 2, [(Lens(5, (1, 0)), g)], None)
+        assert lead.mat is g.mat
+        assert np.array_equal(swapped.mat, g.mat[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])])
 
 
 class TestWorkingSetGuard:
