@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _execute, _focus_steps, _permutation_rows, _plan, curry
+from .focus import _collapse, _execute, _permutation_rows, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
@@ -110,11 +110,9 @@ class Circuit:
                 steps.append(group[0])
                 continue
             k, pos = len(wires), {w: i for i, w in enumerate(wires)}
-            check_dense_size(k, self.q)
             local = ((Lens._trusted(k, tuple(pos[w] for w in s.lens.idx)), s.gate)
                      for s in group)
-            gate = Gate(_focus_steps(k, self.q, local, None), k, k, self.q, _trusted=True)
-            steps.append(Step(Lens._trusted(self.n, tuple(wires)), gate))
+            steps.append(Step(Lens._trusted(self.n, tuple(wires)), _collapse(k, self.q, local)))
         out = Circuit(self.n, tuple(steps), self.q)
         out.__dict__["_fusion"] = None
         return out
@@ -155,11 +153,11 @@ class Circuit:
         steps = tuple(Step(lens.compose(s.lens), s.gate, s.name) for s in self.steps)
         return Circuit(lens.n, steps, self.q)
 
-    def to_gate(self, max_bits: int | None = None) -> Gate:
+    def to_gate(self) -> Gate:
         """Collapse to a dense gate by running every step of the fused circuit
         once on all basis kets at once (guarded; intended for small circuits
         only)."""
-        check_dense_size(self.n, self.q, max_bits)
+        check_dense_size(self.n, self.q)
         return Gate(_execute(self.n, self.q, self._plan_at(self.q**self.n), None),
                     self.n, self.n, self.q, _trusted=True)
 

@@ -133,8 +133,8 @@ _CHUNK_BYTES = 1 << 20
 # planned as a dense one: detecting the permutation and building the row
 # views cost about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us
 # at 2**8 amplitudes, 32 us at 2**13 and 61 us at 2**14 (kernel there:
-# 56 us).  Circuit.run plans once, but focus_apply, focus_as_gate and
-# parallel_gate plan on every call.
+# 56 us).  Circuit.run plans once, but focus_apply and _collapse plan on
+# every call.
 _PERM_MIN_SIZE = 1 << 14
 # A lens block on contiguous axes views the state as (A, q**m, C), C being
 # the contiguous run of amplitudes (batch axis included) behind each row.
@@ -425,16 +425,20 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     return _execute(n, q, _plan(n, q, steps, batch), amps)
 
 
-def _focus_amps(lens: Lens, gate: Gate, amps: np.ndarray) -> np.ndarray:
-    """One focused step on amplitudes of shape (q**n,) or (q**n, B), unchecked."""
-    return _focus_steps(lens.n, gate.q, ((lens, gate),), amps)
+def _collapse(n: int, q: int, steps: Iterable[tuple[Lens, Gate]]) -> Gate:
+    """The dense n-wire gate of (lens, gate) steps, left to right: by
+    focus_comp and focus_lens_comp, their focused action on the identity
+    (guarded; intended for small n: monoid bookkeeping, circuit collapse)."""
+    check_dense_size(n, q)
+    return Gate(_focus_steps(n, q, steps, None), n, n, q, _trusted=True)
 
 
 def focus_apply(lens: Lens, gate: Gate, state: State) -> State:
     """Apply a gate to the wires a lens selects, leaving the rest untouched."""
     _check_focus_shapes(lens, state)
     _check_gate(lens, gate, state.q)
-    return State(lens.n, state.q, _focus_amps(lens, gate, state.amps), _trusted=True)
+    amps = _focus_steps(lens.n, state.q, ((lens, gate),), state.amps)
+    return State(lens.n, state.q, amps, _trusted=True)
 
 
 def focus_apply_reference(lens: Lens, gate: Gate, state: State) -> State:
@@ -461,10 +465,6 @@ def focus_as_gate(lens: Lens, gate: Gate) -> Gate:
     """Collapse a focused gate to its dense matrix at the ambient arity.
 
     Column j is the focused action on the j-th basis vector, computed for
-    all columns at once by focusing the identity (guarded; intended for
-    small ambient sizes: monoid bookkeeping, circuit collapse).
-    """
+    all columns at once by _collapse (guarded; for small ambient sizes)."""
     _check_gate(lens, gate, gate.q)
-    check_dense_size(lens.n, gate.q)
-    return Gate(_focus_steps(lens.n, gate.q, ((lens, gate),), None),
-                lens.n, lens.n, gate.q, _trusted=True)
+    return _collapse(lens.n, gate.q, ((lens, gate),))

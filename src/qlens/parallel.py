@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _focus_steps, focus_apply, focus_as_gate
-from .gates import Gate, check_dense_size, identity, null
+from .focus import _collapse, focus_apply, focus_as_gate
+from .gates import Gate, identity, null
 from .lens import Lens, lens_empty, lens_id, lens_left, lens_right
 from .state import State
 
@@ -98,24 +98,25 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     """Side-by-side gate on f.wires + g.wires wires, built by focusing, not kron."""
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
-    p, s, q = f.wires, g.wires, f.q
-    check_dense_size(p + s, q)
-    steps = ((lens_right(p, s), g), (lens_left(p, s), f))
-    return Gate(_focus_steps(p + s, q, steps, None), p + s, p + s, q, _trusted=True)
+    p, s = f.wires, g.wires
+    return _collapse(p + s, f.q, ((lens_right(p, s), g), (lens_left(p, s), f)))
 
 
 def combine(a: FocusedGate, b: FocusedGate) -> FocusedGate:
-    """Commutative composition: side-by-side on disjoint supports, error otherwise."""
+    """Commutative composition: side-by-side on disjoint supports, error otherwise.
+
+    With a.idx + b.idx = basis∘perm, the gate on the sorted union is one pass
+    focusing a at perm∘left and b at perm∘right (focus_lens_comp)."""
     if a.n != b.n or a.q != b.q:
         raise ShapeMismatch(
             f"ambient mismatch: (n={a.n}, q={a.q}) vs (n={b.n}, q={b.q})"
         )
-    if a.is_err or b.is_err:
+    if a.is_err or b.is_err or not a.lens.disjoint(b.lens):
         return error_focused(a.n, a.q)
-    if not a.lens.disjoint(b.lens):
-        return error_focused(a.n, a.q)
-    joined = Lens(a.n, a.lens.idx + b.lens.idx)
-    return focused(joined, parallel_gate(a.gate, b.gate))
+    basis, perm = Lens(a.n, a.lens.idx + b.lens.idx).factorize()
+    p, s = a.lens.m, b.lens.m
+    steps = ((perm.compose(lens_left(p, s)), a.gate), (perm.compose(lens_right(p, s)), b.gate))
+    return FocusedGate(a.n, basis, _collapse(p + s, a.q, steps))
 
 
 def combine_all(n: int, items: Sequence[FocusedGate],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qlens import Lens
+from qlens import Lens, Step, build_full_matrix, focus_apply_reference
 from qlens.checks import _random_gate as random_gate, _random_lens as random_lens
 
 
@@ -23,3 +23,24 @@ def random_steps(n: int, q: int, rng: np.random.Generator, count: int = 8) -> li
     lenses += [random_lens(n, int(rng.integers(0, 4)), rng) for _ in range(count)]
     lenses.append(lenses[-1])
     return [(lens, random_gate(lens.m, q, rng)) for lens in lenses]
+
+
+def _pairs(steps) -> list:
+    return [(s.lens, s.gate) if isinstance(s, Step) else s for s in steps]
+
+
+def dense_product(steps, n: int, q: int) -> np.ndarray:
+    """The oracle's matrix of (lens, gate) pairs or Steps applied left to
+    right: the product of their padded build_full_matrix operators."""
+    product = np.eye(q**n, dtype=complex)
+    for lens, gate in _pairs(steps):
+        product = build_full_matrix(lens, gate).mat @ product
+    return product
+
+
+def reference_run(steps, state):
+    """``state`` after (lens, gate) pairs or Steps, left to right, each
+    through the naive focus_apply_reference pipeline."""
+    for lens, gate in _pairs(steps):
+        state = focus_apply_reference(lens, gate, state)
+    return state

@@ -18,7 +18,6 @@ from qlens import (
     build_full_matrix,
     cnot,
     focus_apply,
-    focus_apply_reference,
     focus_as_gate,
     ghz_circuit,
     ghz_state,
@@ -39,7 +38,7 @@ from qlens.focus import Gather, Gemm, _focus_steps, _permutation_rows
 from qlens.oracle import random_unitary
 import qlens.circuits as circuits_module
 import qlens.state as state_module
-from _helpers import random_gate, random_lens, random_steps
+from _helpers import dense_product, random_gate, random_lens, random_steps, reference_run
 
 SEED = 60609
 
@@ -106,12 +105,10 @@ class TestBatchedCollapse:
     @pytest.mark.parametrize("name", sorted(EXAMPLES))
     def test_example_collapses_match_oracle(self, name):
         circ = EXAMPLES[name]()
-        product = np.eye(2**circ.n, dtype=complex)
         for step in circ.steps:
             dense = build_full_matrix(step.lens, step.gate).mat
             assert np.max(np.abs(focus_as_gate(step.lens, step.gate).mat - dense)) <= 1e-10
-            product = dense @ product
-        assert np.max(np.abs(circ.to_gate().mat - product)) <= 1e-10
+        assert np.max(np.abs(circ.to_gate().mat - dense_product(circ.steps, circ.n, 2))) <= 1e-10
 
     @pytest.mark.parametrize("circ", [ghz_circuit(3), reversal_circuit(5),
                                       shor_components()["sign_flip_dec"]],
@@ -131,10 +128,7 @@ class TestBatchedCollapse:
         )
         circ = Circuit(n, steps, q)
         mat = circ.to_gate().mat
-        product = np.eye(q**n, dtype=complex)
-        for step in steps:
-            product = build_full_matrix(step.lens, step.gate).mat @ product
-        assert np.max(np.abs(mat - product)) <= 1e-10
+        assert np.max(np.abs(mat - dense_product(steps, n, q))) <= 1e-10
         for j, v in enumerate(all_basis_tuples(n, q)):
             assert np.max(np.abs(mat[:, j] - circ.run(ket(v, q)).amps)) <= 1e-12
 
@@ -167,12 +161,8 @@ class TestCurriedRun:
             assert np.array_equal(s.amps, before)
             assert not np.shares_memory(out.amps, s.amps)
             assert not out.amps.flags.writeable
-            ref, product = s, np.eye(q**n, dtype=complex)
-            for step in circ.steps:
-                ref = focus_apply_reference(step.lens, step.gate, ref)
-                product = build_full_matrix(step.lens, step.gate).mat @ product
-            assert out.max_dev(ref) <= 1e-12
-            assert np.max(np.abs(out.amps - product @ s.amps)) <= 1e-10
+            assert out.max_dev(reference_run(circ.steps, s)) <= 1e-12
+            assert np.max(np.abs(out.amps - dense_product(circ.steps, n, q) @ s.amps)) <= 1e-10
 
     def test_empty_circuit_returns_fresh_readonly_copy(self):
         s = random_state(3, 2, np.random.default_rng(SEED))
@@ -234,19 +224,6 @@ class TestPlan:
             circ.to_gate()
 
 
-def reference_run(circ: Circuit, s):
-    for step in circ.steps:
-        s = focus_apply_reference(step.lens, step.gate, s)
-    return s
-
-
-def dense_product(circ: Circuit) -> np.ndarray:
-    product = np.eye(circ.q**circ.n, dtype=complex)
-    for step in circ.steps:
-        product = build_full_matrix(step.lens, step.gate).mat @ product
-    return product
-
-
 class TestFusion:
     """Circuit.fused clusters dense steps; run and to_gate execute the fusion."""
 
@@ -270,7 +247,7 @@ class TestFusion:
         assert fused.steps[0] is u and fused.steps[1] is cx
         assert [st.lens.idx for st in fused.steps[2:]] == [(1, 0)]
         s = random_state(3, 2, rng)
-        assert fused.run(s).max_dev(reference_run(circ, s)) <= 1e-12
+        assert fused.run(s).max_dev(reference_run(circ.steps, s)) <= 1e-12
 
     def test_disjoint_dense_step_joins_across_permutation(self):
         rng = np.random.default_rng(SEED)
@@ -310,7 +287,7 @@ class TestFusion:
         assert _permutation_rows(fused.steps[0].gate.mat) is not None
         assert fused.steps[1] is u
         s = random_state(3, 2, rng)
-        assert fused.run(s).max_dev(reference_run(circ, s)) <= 1e-12
+        assert fused.run(s).max_dev(reference_run(circ.steps, s)) <= 1e-12
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_to_gate_matches_oracle_and_reference(self, q):
@@ -318,10 +295,10 @@ class TestFusion:
         for _ in range(6):
             circ = _random_mixed_circuit(int(rng.integers(1, 7 if q == 2 else 5)), q, rng)
             mat = circ.to_gate().mat
-            assert np.max(np.abs(mat - dense_product(circ))) <= 1e-10
+            assert np.max(np.abs(mat - dense_product(circ.steps, circ.n, q))) <= 1e-10
             for _ in range(2):
                 s = random_state(circ.n, q, rng)
-                assert np.max(np.abs(mat @ s.amps - reference_run(circ, s).amps)) <= 1e-12
+                assert np.max(np.abs(mat @ s.amps - reference_run(circ.steps, s).amps)) <= 1e-12
 
     def test_zero_wire_steps(self):
         rng = np.random.default_rng(SEED)
@@ -334,7 +311,7 @@ class TestFusion:
         assert abs(only_phases.steps[0].gate.mat[0, 0] - np.exp(1.4j)) <= 1e-15
         for steps in (phase, [phase[0], h, phase[1], u], [u, phase[0], phase[1], h]):
             circ = Circuit(4, tuple(steps))
-            want = reference_run(circ, s)
+            want = reference_run(circ.steps, s)
             for k in range(0, 5):
                 assert circ.fused(k).run(s).max_dev(want) <= 1e-12
             assert circ.run(s).max_dev(want) <= 1e-12
@@ -347,7 +324,7 @@ class TestFusion:
         circ = Circuit(4, steps, q)
         assert max(st.lens.m for st in circ._fused.steps) == max_wires
         s = random_state(4, q, rng)
-        assert circ.run(s).max_dev(reference_run(circ, s)) <= 1e-12
+        assert circ.run(s).max_dev(reference_run(circ.steps, s)) <= 1e-12
 
     def test_cluster_past_the_dense_guard_refused(self):
         steps = tuple(Step(lens_single(15, w), hadamard()) for w in range(15))

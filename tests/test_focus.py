@@ -39,8 +39,9 @@ from qlens import (
 import qlens.focus as focus_module
 import qlens.state as state_module
 from qlens.checks import _random_cycle
-from qlens.focus import _focus_amps, _focus_steps, _permutation_rows
-from _helpers import max_entry, random_gate, random_lens, random_steps
+from qlens.focus import _focus_steps, _permutation_rows
+from _helpers import (dense_product, max_entry, random_gate, random_lens, random_steps,
+                      reference_run)
 
 SEED = 424242
 
@@ -249,7 +250,7 @@ def batch_cases(q, rng, count=6):
 
 
 class TestBatchAxis:
-    """_focus_amps on (q**n, B) amplitudes acts on every column at once."""
+    """_focus_steps on (q**n, B) amplitudes acts on every column at once."""
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_columns_match_single_state_paths_and_oracle(self, q):
@@ -259,7 +260,7 @@ class TestBatchAxis:
             dense = build_full_matrix(lens, g).mat
             for b in (1, 5, dim):
                 amps = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
-                got = _focus_amps(lens, g, amps)
+                got = _focus_steps(lens.n, q, ((lens, g),), amps)
                 assert got.shape == (dim, b)
                 for j in range(b):
                     s = State(lens.n, q, amps[:, j])
@@ -272,7 +273,7 @@ class TestBatchAxis:
         rng = np.random.default_rng(SEED)
         amps = rng.standard_normal((16, 3)) + 0j
         before = amps.copy()
-        _focus_amps(Lens(4, (3, 1)), random_gate(2, 2, rng), amps)
+        _focus_steps(4, 2, ((Lens(4, (3, 1)), random_gate(2, 2, rng)),), amps)
         assert np.array_equal(amps, before)
 
     @pytest.mark.parametrize("q", [2, 3])
@@ -309,14 +310,9 @@ class TestCurriedSteps:
             assert got.shape == (dim, b)
             assert np.array_equal(amps, before)
             assert not np.shares_memory(got, amps)
-            product = np.eye(dim, dtype=complex)
-            for lens, g in steps:
-                product = build_full_matrix(lens, g).mat @ product
-            assert max_entry(got, product @ amps) <= 1e-10
+            assert max_entry(got, dense_product(steps, n, q) @ amps) <= 1e-10
             for j in range(b):
-                s = State(n, q, amps[:, j])
-                for lens, g in steps:
-                    s = focus_apply_reference(lens, g, s)
+                s = reference_run(steps, State(n, q, amps[:, j]))
                 assert max_entry(got[:, j], s.amps) <= 1e-12
 
     def test_leading_lens_skips_gather(self, monkeypatch):
@@ -337,10 +333,7 @@ class TestCurriedSteps:
         got = _focus_steps(3, 2, steps, amps)
         assert (calls.count("copyto"), calls.count("matmul")) == (2, 4)
         monkeypatch.undo()
-        s = State(3, 2, amps)
-        for lens, g in steps:
-            s = focus_apply_reference(lens, g, s)
-        assert max_entry(got, s.amps) <= 1e-12
+        assert max_entry(got, reference_run(steps, State(3, 2, amps)).amps) <= 1e-12
 
 
 def permutation_gate(rows, m, q):
@@ -431,14 +424,9 @@ class TestPermutationKernel:
             patched.setattr(focus_module, "_permutation_rows", lambda mat: None)
             gemm = _focus_steps(n, q, steps, amps)
         assert np.array_equal(got, gemm)
-        product = np.eye(dim, dtype=complex)
-        for lens, g in steps:
-            product = build_full_matrix(lens, g).mat @ product
-        assert max_entry(got, product @ amps) <= 1e-10
+        assert max_entry(got, dense_product(steps, n, q) @ amps) <= 1e-10
         for j in range(1 if b is None else b):
-            s = State(n, q, amps if b is None else amps[:, j])
-            for lens, g in steps:
-                s = focus_apply_reference(lens, g, s)
+            s = reference_run(steps, State(n, q, amps if b is None else amps[:, j]))
             assert max_entry(got if b is None else got[:, j], s.amps) <= 1e-12
 
     def test_detects_only_zero_one_permutations(self):
@@ -587,14 +575,9 @@ class TestPlacement:
         got = focus_module._execute(n, q, plan, amps)
         assert np.array_equal(amps, before)
         assert not np.shares_memory(got, amps)
-        product = np.eye(dim, dtype=complex)
-        for lens, g in steps:
-            product = build_full_matrix(lens, g).mat @ product
-        assert max_entry(got, product @ amps) <= 1e-10
+        assert max_entry(got, dense_product(steps, n, q) @ amps) <= 1e-10
         for j in range(1 if b is None else b):
-            s = State(n, q, amps if b is None else amps[:, j])
-            for lens, g in steps:
-                s = focus_apply_reference(lens, g, s)
+            s = reference_run(steps, State(n, q, amps if b is None else amps[:, j]))
             assert max_entry(got if b is None else got[:, j], s.amps) <= 1e-12
 
     def test_conjugated_only_out_of_lens_order(self):

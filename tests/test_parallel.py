@@ -13,7 +13,6 @@ from qlens import (
     compose_actions,
     error_focused,
     focus_apply,
-    focus_apply_reference,
     focused,
     ghz_circuit,
     gate_from_matrix,
@@ -31,9 +30,26 @@ from qlens import (
     shor_components,
     swap,
 )
-from _helpers import random_gate
+import qlens.focus as focus_module
+from _helpers import dense_product, max_entry, random_gate, reference_run
 
 SEED = 90125
+
+
+def disjoint_pairs(q, rng):
+    """Seeded (a, b) on disjoint supports, both orders, their lenses drawn
+    unsorted: unions over every wire and over some, and the unit on either
+    side."""
+    n = 6 if q == 2 else 4
+    pairs = []
+    for used in (n, n, n - 1, n - 2, 2):
+        wires = [int(w) for w in rng.permutation(n)[:used]]
+        p = int(rng.integers(1, used))
+        a, b = (focused(Lens(n, part), random_gate(len(part), q, rng))
+                for part in (wires[:p], wires[p:]))
+        pairs += [(a, b), (b, a)]
+    unit, fg = identity_focused(n, q), pairs[0][0]
+    return n, pairs + [(unit, fg), (fg, unit)]
 
 
 def pool(n):
@@ -119,6 +135,30 @@ class TestCombine:
         with pytest.raises(ShapeMismatch):
             combine(identity_focused(3), identity_focused(4))
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_focused_side_by_side_gate_and_oracle(self, q):
+        # Reference: the side-by-side gate on a.idx + b.idx, its unsorted
+        # lens collapsed by focused.
+        n, pairs = disjoint_pairs(q, np.random.default_rng(SEED))
+        for a, b in pairs:
+            got = combine(a, b)
+            assert not got.is_err and got.support == tuple(sorted(a.support + b.support))
+            joined = Lens(n, a.support + b.support)
+            assert got.isclose(focused(joined, parallel_gate(a.gate, b.gate)), tol=1e-12)
+            want = dense_product([(a.lens, a.gate), (b.lens, b.gate)], n, q)
+            assert max_entry(build_full_matrix(got.lens, got.gate).mat, want) <= 1e-10
+
+    def test_one_pass_per_combine(self, monkeypatch):
+        # The stored gate comes from one pass over the identity, sorted
+        # joined lens or not.
+        _, pairs = disjoint_pairs(2, np.random.default_rng(SEED))
+        calls = []
+        real = focus_module._execute
+        monkeypatch.setattr(focus_module, "_execute", lambda *a: calls.append(1) or real(*a))
+        for a, b in pairs:
+            combine(a, b)
+        assert len(calls) == len(pairs)
+
     def test_commutativity_small_pool(self):
         items = pool(3)
         for a in items:
@@ -162,10 +202,9 @@ class TestParallelGate:
             for j, v in enumerate(all_basis_tuples(p + s, q)):
                 col = focus_apply(left, f, focus_apply(right, g, ket(v, q))).amps
                 assert np.max(np.abs(pg[:, j] - col)) <= 1e-12
-                ref = focus_apply_reference(
-                    left, f, focus_apply_reference(right, g, ket(v, q))).amps
+                ref = reference_run([(right, g), (left, f)], ket(v, q)).amps
                 assert np.max(np.abs(pg[:, j] - ref)) <= 1e-12
-            want = build_full_matrix(left, f).mat @ build_full_matrix(right, g).mat
+            want = dense_product([(right, g), (left, f)], p + s, q)
             assert np.max(np.abs(pg - want)) <= 1e-10
 
     @pytest.mark.parametrize("left_name,right_name", [
@@ -176,8 +215,7 @@ class TestParallelGate:
         f = examples[left_name].to_gate()
         g = examples[right_name].to_gate()
         p, s = f.wires, g.wires
-        want = (build_full_matrix(lens_left(p, s), f).mat
-                @ build_full_matrix(lens_right(p, s), g).mat)
+        want = dense_product([(lens_right(p, s), g), (lens_left(p, s), f)], p + s, 2)
         assert np.max(np.abs(parallel_gate(f, g).mat - want)) <= 1e-10
 
     def test_size_guard(self):
