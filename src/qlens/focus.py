@@ -379,25 +379,51 @@ def _take_rows(buf: np.ndarray, op: Take, spare: np.ndarray) -> None:
             np.copyto(dst, tmp)
 
 
-def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
-             amps: np.ndarray | None) -> np.ndarray:
-    """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
-    was made for.  ``amps`` None stands for the q**n x q**n identity (batch
-    q**n), built in the first buffer: the result is then the steps' dense
-    matrix, with two state-sized buffers alive instead of three.
+def _last_slot(plan: tuple[Gather | Gemm | Permute | Take, ...], owned: bool) -> int | None:
+    """The buffer (0 or 1) that holds the result of _execute(plan), or None
+    when no op touches the caller's array: each Gather or Gemm writes the
+    buffer that its input is not in, and an in-place op on the caller's
+    array first copies it into buffer 0."""
+    slot = 0 if owned else None
+    for op in plan:
+        if isinstance(op, (Gather, Gemm)):
+            slot = 1 if slot == 0 else 0
+        elif slot is None:
+            slot = 0
+    return slot
 
-    Gathers and products alternate between two buffers allocated once;
-    Permute and Take work in place, and a caller's ``amps`` is never
-    written (an in-place op on it first copies it into the first buffer).
-    Before allocating, the working set (the caller's ``amps`` and two
-    buffers, or two buffers for the identity) must fit MAX_STATE_ENTRIES.
+
+def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
+             amps: np.ndarray | None,
+             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
+    was made for; return the result and the other buffer, the scratch.
+    ``amps`` None stands for the q**n x q**n identity (batch q**n), written
+    into the first buffer: the result is then the steps' dense matrix, with
+    two state-sized buffers alive instead of three.
+
+    Gathers and products alternate between two buffers; Permute and Take
+    work in place, and a caller's ``amps`` is never written (an in-place op
+    on it first copies it into the first buffer; a plan that leaves it
+    alone returns a copy).  The plan tells which buffer the result lands in
+    (_last_slot): when the caller passes a ``scratch`` array of the
+    buffers' shape, only that buffer is allocated fresh and ``scratch`` is
+    the other; without it both are, the first one first.  The result never
+    shares memory with the scratch returned, so a caller may keep it for
+    its next call.  Before allocating, the working set (the caller's
+    ``amps`` and two buffers, or two buffers for the identity) must fit
+    MAX_STATE_ENTRIES.
     """
     owned = amps is None
     check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
+    shape = (q**n, q**n) if owned else amps.shape
+    last = _last_slot(plan, owned)
+    bufs = tuple(np.empty(shape, np.complex128) if scratch is None or k == last else scratch
+                 for k in (0, 1))
     if owned:
-        amps = np.eye(q**n, dtype=np.complex128)
-    bufs = (amps if owned else np.empty(amps.shape, np.complex128),
-            np.empty(amps.shape, np.complex128))
+        amps = bufs[0]
+        amps.fill(0)
+        np.fill_diagonal(amps, 1)
     cur = amps
     for op in plan:
         spare = bufs[1] if cur is bufs[0] else bufs[0]
@@ -413,7 +439,9 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
             (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, spare)
             continue
         cur = spare
-    return amps.copy() if cur is amps and not owned else cur
+    if last is None:
+        return amps.copy(), bufs[1]
+    return bufs[last], bufs[1 - last]
 
 
 def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
@@ -422,7 +450,7 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     shape (q**n,) or (q**n, B), or on the identity for ``amps`` None,
     planned and executed in one call."""
     batch = q**n if amps is None else (amps.shape[1] if amps.ndim == 2 else None)
-    return _execute(n, q, _plan(n, q, steps, batch), amps)
+    return _execute(n, q, _plan(n, q, steps, batch), amps)[0]
 
 
 def _collapse(n: int, q: int, steps: Iterable[tuple[Lens, Gate]]) -> Gate:

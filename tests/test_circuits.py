@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from itertools import product
@@ -13,6 +15,7 @@ from qlens import (
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
+    State,
     Step,
     all_basis_tuples,
     build_full_matrix,
@@ -37,8 +40,10 @@ from qlens.circuits import FUSE_WIRES
 from qlens.focus import Gather, Gemm, _focus_steps, _permutation_rows
 from qlens.oracle import random_unitary
 import qlens.circuits as circuits_module
+import qlens.focus as focus_module
 import qlens.state as state_module
-from _helpers import dense_product, random_gate, random_lens, random_steps, reference_run
+from _helpers import (dense_product, max_entry, random_gate, random_lens, random_steps,
+                      reference_run)
 
 SEED = 60609
 
@@ -222,6 +227,140 @@ class TestPlan:
             circ.run(s)
         with pytest.raises(SizeGuardExceeded):
             circ.to_gate()
+
+
+def _scratch_cases(rng) -> dict:
+    """Circuits on 6 wires, each with the op kinds its plan must have (the
+    count of Gather and Gemm ops decides which buffer a run returns), under
+    _PERM_MIN_SIZE = 0."""
+    dense = (Step(Lens(6, (0, 1, 2, 3)), random_gate(4, 2, rng)),
+             Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
+    return {
+        "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"]),
+        "odd": (Circuit(6, dense[:1]), ["Gemm"]),
+        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"]),
+        "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
+                           ["Permute", "Gather", "Gemm", "Gather"]),
+        "identity": (Circuit(6, ()), []),
+    }
+
+
+class TestScratchBuffer:
+    """From its second execution on, a plan keeps the buffer that _execute
+    does not return beside it, and later calls allocate only the buffer
+    they return.  A kept buffer that ever became a returned array would
+    silently overwrite a result the caller holds."""
+
+    @pytest.fixture(autouse=True)
+    def perm_kernels(self, monkeypatch):
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+
+    @staticmethod
+    def held_results(call, kept, runs=4):
+        """Run ``call`` ``runs`` times; each result must keep its values and
+        share no memory with a later result or with the kept buffer."""
+        held = []
+        for _ in range(runs):
+            out = call()
+            for old, values in held:
+                assert np.array_equal(old, values)
+                assert not np.shares_memory(old, out)
+            held.append((out, out.copy()))
+        scratch = kept()
+        assert scratch is not None
+        for out, values in held:
+            assert np.array_equal(out, values)
+            assert not np.shares_memory(out, scratch)
+        return [out for out, _ in held]
+
+    @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm",
+                                      "in_place_first", "identity"])
+    def test_results_never_alias_the_kept_buffer(self, case):
+        rng = np.random.default_rng(SEED)
+        circ, kinds = _scratch_cases(rng)[case]
+        assert [type(op).__name__ for op in circ._plan_at(None)] == kinds
+        assert [type(op).__name__ for op in circ._plan_at(3)] == kinds
+        assert [type(op).__name__ for op in circ._plan_at(64)] == kinds
+
+        s = random_state(6, 2, rng)
+        before = s.amps.copy()
+        outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._scratch[None])
+        assert np.array_equal(s.amps, before)
+        want = reference_run(circ.steps, s)
+        assert all(want.max_dev(State(6, 2, out)) <= 1e-12 for out in outs)
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+
+        batch = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+        before = batch.copy()
+        outs = self.held_results(lambda: circ._run_plan(3, batch), lambda: circ._scratch[3])
+        assert np.array_equal(batch, before)
+        assert max_entry(outs[0], dense_product(circ.steps, 6, 2) @ batch) <= 1e-10
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+
+        outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._scratch[64])
+        assert max_entry(outs[0], dense_product(circ.steps, 6, 2)) <= 1e-10
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+
+    def test_run_once_keeps_nothing(self):
+        circ, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
+        circ.run(zero_state(6))
+        circ.to_gate()
+        assert circ._scratch == {None: None, 64: None}
+
+    @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm", "in_place_first"])
+    def test_later_runs_allocate_one_state_sized_array(self, monkeypatch, case):
+        # The first two calls allocate both buffers, as every call did
+        # before; the second keeps its scratch, so each later call
+        # allocates only the array it returns.
+        circ, _ = _scratch_cases(np.random.default_rng(SEED))[case]
+        counts = []
+        real = np.empty
+
+        def counted(shape, *a, **k):
+            counts[-1] += tuple(np.atleast_1d(shape)) in {(64,), (64, 64)}
+            return real(shape, *a, **k)
+
+        monkeypatch.setattr(np, "empty", counted)
+        s = zero_state(6)
+        for call in [lambda: circ.run(s)] * 5 + [circ.to_gate] * 5:
+            counts.append(0)
+            call()
+        assert counts == [2, 2, 1, 1, 1] * 2
+
+    def test_threads_running_one_circuit_share_no_buffer(self):
+        # Run twice first, so that the circuit holds a scratch buffer that
+        # every thread reaches for; a shared one corrupted a third or more
+        # of these runs.  Four threads, switching often.
+        rng = np.random.default_rng(SEED)
+        circ = Circuit(16, tuple(Step(lens, g) for lens, g in random_steps(16, 2, rng)))
+        states = [random_state(16, 2, rng) for _ in range(4)]
+        wants = [reference_run(circ.steps, s) for s in states]
+        for s in states[:2]:
+            circ.run(s)
+        assert circ._scratch[None] is not None
+        barrier = threading.Barrier(len(states))
+        results: list[list] = [[] for _ in states]
+
+        def worker(k):
+            barrier.wait(timeout=60)
+            for _ in range(20):
+                results[k].append(circ.run(states[k]))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(states))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, outs in zip(wants, results):
+            assert len(outs) == 20
+            assert all(out.max_dev(want) <= 1e-12 for out in outs)
+            assert all(np.array_equal(out.amps, outs[0].amps) for out in outs)
 
 
 class TestFusion:

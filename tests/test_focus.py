@@ -572,7 +572,7 @@ class TestPlacement:
         shape = (dim,) if b is None else (dim, b)
         amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         before = amps.copy()
-        got = focus_module._execute(n, q, plan, amps)
+        got, _ = focus_module._execute(n, q, plan, amps)
         assert np.array_equal(amps, before)
         assert not np.shares_memory(got, amps)
         assert max_entry(got, dense_product(steps, n, q) @ amps) <= 1e-10

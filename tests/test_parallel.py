@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ def disjoint_pairs(q, rng):
         pairs += [(a, b), (b, a)]
     unit, fg = identity_focused(n, q), pairs[0][0]
     return n, pairs + [(unit, fg), (fg, unit)]
+
+
+def disjoint_families(q, rng):
+    """Seeded families of 2-6 focused gates on disjoint supports of 0-3
+    wires, their lenses drawn unsorted, the unit among them at times."""
+    n = 8 if q == 2 else 5
+    families = []
+    for _ in range(12):
+        wires, items = [int(w) for w in rng.permutation(n)], []
+        while wires and len(items) < 6:
+            m = int(rng.integers(1, min(3, len(wires)) + 1))
+            part, wires = wires[:m], wires[m:]
+            items.append(focused(Lens(n, tuple(part)), random_gate(m, q, rng)))
+            if rng.random() < 0.2:
+                items.append(identity_focused(n, q))
+        families.append(items)
+    return n, families
 
 
 def pool(n):
@@ -150,14 +169,19 @@ class TestCombine:
 
     def test_one_pass_per_combine(self, monkeypatch):
         # The stored gate comes from one pass over the identity, sorted
-        # joined lens or not.
+        # joined lens or not, for two operands or a whole family.
         _, pairs = disjoint_pairs(2, np.random.default_rng(SEED))
+        n, families = disjoint_families(2, np.random.default_rng(SEED))
         calls = []
         real = focus_module._execute
         monkeypatch.setattr(focus_module, "_execute", lambda *a: calls.append(1) or real(*a))
         for a, b in pairs:
             combine(a, b)
         assert len(calls) == len(pairs)
+        for items in families:
+            calls.clear()
+            combine_all(n, items)
+            assert len(calls) == 1
 
     def test_commutativity_small_pool(self):
         items = pool(3)
@@ -243,6 +267,52 @@ class TestCombineAll:
             focused(Lens(4, (1, 2)), cnot()),
         ]
         assert combine_all(4, items).is_err
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_pairwise_fold_and_oracle(self, q):
+        n, families = disjoint_families(q, np.random.default_rng(SEED))
+        for items in families:
+            got = combine_all(n, items, q=q)
+            fold = reduce(combine, items, identity_focused(n, q))
+            assert not got.is_err and got.support == fold.support
+            # Every entry is the same product of one entry per operand.
+            # For qubits it comes out bit for bit; for qutrits BLAS may
+            # round one product differently in blocks of another shape.
+            assert got.isclose(fold, tol=0.0 if q == 2 else 1e-15)
+            want = dense_product([(fg.lens, fg.gate) for fg in items], n, q)
+            assert max_entry(build_full_matrix(got.lens, got.gate).mat, want) <= 1e-10
+
+    def test_unsorted_pairs_bit_identical_to_fold(self):
+        # The collapse_small recipe: 2-wire gates on unsorted pairs at n = 8.
+        rng = np.random.default_rng(SEED)
+        for _ in range(5):
+            pairs = rng.permutation(8).reshape(-1, 2)
+            items = [focused(Lens(8, tuple(map(int, p))), random_gate(2, 2, rng))
+                     for p in pairs]
+            got = combine_all(8, items)
+            fold = reduce(combine, items, identity_focused(8))
+            assert got.gate.mat.tobytes() == fold.gate.mat.tobytes()
+
+    def test_error_and_overlap_rules_of_the_fold(self):
+        h = focused(lens_single(4, 1), hadamard())
+        cx = focused(Lens(4, (3, 0)), cnot())
+        assert combine_all(4, [h, error_focused(4)]).is_err
+        assert combine_all(4, [error_focused(4)]).is_err
+        assert combine_all(4, [cx, h, focused(lens_single(4, 0), hadamard())]).is_err
+        assert combine_all(4, [identity_focused(4), h]).isclose(h, tol=0.0)
+        assert combine_all(4, [cx, identity_focused(4)]).isclose(cx, tol=0.0)
+
+    def test_ambient_mismatch_raises_even_past_an_error(self):
+        h = focused(lens_single(4, 1), hadamard())
+        for bad in (identity_focused(3), identity_focused(4, q=3)):
+            with pytest.raises(ShapeMismatch):
+                combine_all(4, [h, bad])
+            with pytest.raises(ShapeMismatch):
+                combine_all(4, [error_focused(4), h, h, bad])
+            with pytest.raises(ShapeMismatch):
+                reduce(combine, [error_focused(4), h, h, bad], identity_focused(4))
+        with pytest.raises(ShapeMismatch):
+            combine_all(4, [h], q=3)
 
     def test_predicate_filters(self):
         items = [
