@@ -15,7 +15,6 @@ import numpy as np
 from . import circuits
 from .focus import (
     _PERM_MIN_SIZE,
-    _focus_steps,
     curry,
     focus_apply,
     focus_apply_reference,
@@ -288,8 +287,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                 if batch == 1:
                     got = fused.run(cols[0]).amps[:, None]
                 else:
-                    pairs = [(st.lens, st.gate) for st in fused._fused.steps]
-                    got = _focus_steps(circ.n, circ.q, pairs, amps)
+                    got = fused._run_plan(batch, amps)
                 fusion.see(float(np.max(np.abs(got - want))), f"{where} k={k or 'default'}")
 
     return [law.result() for law in

@@ -109,75 +109,57 @@ class Circuit:
                 joined.update(wires)
             else:
                 items.append(([step], wires, dense))
-        steps = []
-        for group, wires, _ in items:
-            if len(group) == 1:
-                steps.append(group[0])
-                continue
-            k, pos = len(wires), {w: i for i, w in enumerate(wires)}
-            local = ((Lens._trusted(k, tuple(pos[w] for w in s.lens.idx)), s.gate)
-                     for s in group)
-            steps.append(Step(Lens._trusted(self.n, tuple(wires)), _collapse(k, self.q, local)))
+        steps = (group[0] if len(group) == 1 else
+                 Step(Lens._trusted(self.n, tuple(wires)),
+                      _collapse(tuple(wires), self.q, ((s.lens, s.gate) for s in group)))
+                 for group, wires, _ in items)
         out = Circuit(self.n, tuple(steps), self.q)
-        out.__dict__["_fusion"] = None
+        out.__dict__["_clusters"] = out.steps
         return out
 
-    @property
-    def _fused(self) -> Circuit:
-        """This circuit fused once, on first use, to clusters of dimension at
-        most 2**FUSE_WIRES; a circuit that fused() returned is its own.
-        Held without a reference cycle, so that the fused gates go with the
-        circuit's last reference: kept to the next garbage collection, the
-        cluster matrices left scattered over the heap raised the peak memory
-        of repeated GHZ-20 runs from 69 to 77 MiB."""
-        if "_fusion" not in self.__dict__:
-            max_wires = 0
-            while self.q ** (max_wires + 1) <= 2**FUSE_WIRES:
-                max_wires += 1
-            self.__dict__["_fusion"] = self.fused(max_wires)
-        fusion = self.__dict__["_fusion"]
-        return self if fusion is None else fusion
+    @cached_property
+    def _clusters(self) -> tuple[Step, ...]:
+        """The steps of this circuit fused once, on first use, to clusters of
+        dimension at most 2**FUSE_WIRES; a circuit that fused() returned
+        holds its own steps here, so it is never fused again."""
+        max_wires = 0
+        while self.q ** (max_wires + 1) <= 2**FUSE_WIRES:
+            max_wires += 1
+        return self.fused(max_wires).steps
 
     @cached_property
-    def _plans(self) -> dict[int | None, tuple]:
-        return {}
-
-    @cached_property
-    def _scratch(self) -> dict[int | None, np.ndarray | None]:
-        return {}
-
-    def _plan_at(self, batch: int | None) -> tuple:
-        """The plan of the fused circuit for this batch size, made on first
-        use: Circuit is frozen and Gate.mat read-only, so it never goes
+    def _programs(self) -> dict[int | None, tuple[tuple, np.ndarray | None]]:
+        """batch size -> (plan of the fused steps, scratch buffer or None).
+        Circuit is frozen and Gate.mat read-only, so a plan never goes
         stale."""
-        if batch not in self._plans:
-            pairs = ((s.lens, s.gate) for s in self._fused.steps)
-            self._plans[batch] = _plan(self.n, self.q, pairs, batch)
-        return self._plans[batch]
+        return {}
 
     def _run_plan(self, batch: int | None, amps: np.ndarray | None) -> np.ndarray:
-        """_execute the plan for this batch size, keeping its scratch buffer
-        beside it from the plan's second execution on.
+        """_execute the plan for this batch size, made on first use, keeping
+        its scratch buffer beside it from the plan's second execution on.
 
-        The first execution keeps nothing (its key in _scratch maps to
-        None): a circuit run once, as in every `qlens run`, allocates both
-        buffers, as it always did, and frees them on return.  Kept from the
-        first run, GHZ-20's 16 MiB scratch outlived the run through text
-        output, and a `qlens run` of GHZ-20 took 2290-3090 minor faults
-        instead of 1120-1300, and 3-21% longer.  The second execution
-        keeps its scratch, and every later one allocates only the buffer it
-        returns.  With both buffers new on every call, glibc gave them back
-        to the OS in between, and a Shor-code to_gate took about 1240 minor
-        faults and 10.3 ms a call; with the scratch kept, none and 5.6 ms.
-        A call pops the scratch out of the cache and puts
+        The first execution keeps nothing (its entry holds None for the
+        scratch): a circuit run once, as in every `qlens run`, allocates
+        both buffers, as it always did, and frees them on return.  Kept
+        from the first run, GHZ-20's 16 MiB scratch outlived the run
+        through text output, and a `qlens run` of GHZ-20 took 2290-3090
+        minor faults instead of 1120-1300, and 3-21% longer.  The second
+        execution keeps its scratch, and every later one allocates only
+        the buffer it returns.  With both buffers new on every call, glibc
+        gave them back to the OS in between, and a Shor-code to_gate took
+        about 1240 minor faults and 10.3 ms a call; with the scratch kept,
+        none and 5.6 ms.  A call pops the entry out of the cache and puts
         it back on return, so two threads running one circuit never share
-        it (the one that finds none allocates its own).  The buffer lives
+        a scratch buffer: one that finds the entry taken plans again and
+        allocates its own, which costs time, not results.  The buffer lives
         until the circuit is freed.
         """
-        ran = batch in self._scratch
-        out, scratch = _execute(self.n, self.q, self._plan_at(batch), amps,
-                                self._scratch.pop(batch, None))
-        self._scratch[batch] = scratch if ran else None
+        plan, scratch = self._programs.pop(batch, (None, None))
+        first = plan is None
+        if first:
+            plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), batch)
+        out, spare = _execute(self.n, self.q, plan, amps, scratch)
+        self._programs[batch] = (plan, None if first else spare)
         return out
 
     def embedded(self, lens: Lens) -> Circuit:
@@ -192,10 +174,8 @@ class Circuit:
         once on all basis kets at once (guarded; intended for small circuits
         only).
 
-        The identity is written in place into whichever buffer the plan
-        starts from, and the matrix returned is a fresh array.  As for run,
-        the other buffer stays with the circuit from the second call on, so
-        each later call allocates only the matrix it returns."""
+        The identity is written in place into the executor's first buffer;
+        buffers are kept and allocated as for run."""
         check_dense_size(self.n, self.q)
         return Gate(self._run_plan(self.q**self.n, None), self.n, self.n, self.q, _trusted=True)
 

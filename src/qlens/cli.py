@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -255,6 +256,16 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an int of at least ``low`` (below it, a usage error)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlens",
@@ -272,9 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("scope", choices=sorted(checks.SCOPES) + ["all"])
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--trials", type=int, default=200)
-    check.add_argument("--max-wires", type=int, default=None)
+    check.add_argument("--seed", type=_int_at_least(0), default=0)
+    check.add_argument("--trials", type=_int_at_least(1), default=200)
+    check.add_argument("--max-wires", type=_int_at_least(2), default=None)
     check.add_argument("--oracle", action="store_true",
                        help="also run the dense-oracle differential suite")
     check.set_defaults(func=_cmd_check)

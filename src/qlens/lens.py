@@ -8,6 +8,7 @@ the hot paths built on top (extract/merge, currying) stay branch-free.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -24,6 +25,17 @@ from .errors import (
 BasisTuple = tuple[int, ...]
 
 
+def _integer(value: object, what: str = "wire") -> int:
+    """``value`` as an int when it is an integer other than a bool; a float,
+    a bool or a string is no wire (int() would truncate 0.9 to wire 0)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise IndexOutOfRange(f"{what} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Lens:
     """Injection of ``m`` source wires into ``n`` target wires.
@@ -36,7 +48,8 @@ class Lens:
     idx: BasisTuple
 
     def __post_init__(self):
-        object.__setattr__(self, "idx", tuple(int(i) for i in self.idx))
+        object.__setattr__(self, "n", _integer(self.n, "wire count"))
+        object.__setattr__(self, "idx", tuple(map(_integer, self.idx)))
         if self.n < 0:
             raise IndexOutOfRange(f"negative wire count {self.n}")
         for i in self.idx:

@@ -98,7 +98,7 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
     p, s = f.wires, g.wires
-    return _collapse(p + s, f.q, ((lens_right(p, s), g), (lens_left(p, s), f)))
+    return _collapse(range(p + s), f.q, ((lens_right(p, s), g), (lens_left(p, s), f)))
 
 
 def _combine(n: int, q: int, items: Sequence[FocusedGate]) -> FocusedGate:
@@ -120,10 +120,8 @@ def _combine(n: int, q: int, items: Sequence[FocusedGate]) -> FocusedGate:
         return error_focused(n, q)
     if not items:
         return identity_focused(n, q)
-    pos = {w: k for k, w in enumerate(union)}
-    steps = ((Lens._trusted(len(union), tuple(pos[w] for w in fg.support)), fg.gate)
-             for fg in items)
-    return FocusedGate(n, Lens._trusted(n, tuple(union)), _collapse(len(union), q, steps))
+    gate = _collapse(union, q, ((fg.lens, fg.gate) for fg in items))
+    return FocusedGate(n, Lens._trusted(n, tuple(union)), gate)
 
 
 def combine(a: FocusedGate, b: FocusedGate) -> FocusedGate:

@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import weakref
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ from _helpers import (dense_product, max_entry, random_gate, random_lens, random
                       reference_run)
 
 SEED = 60609
+
+
+def cached_plan(circ: Circuit, batch: int | None) -> tuple:
+    """The plan that circ._run_plan keeps in _programs for this batch size,
+    made without executing it, so without a state-sized array; the entry is
+    taken out again, and the circuit keeps no program."""
+    with mock.patch.object(circuits_module, "_execute", lambda *a: (None, None)):
+        circ._run_plan(batch, None)
+    return circ._programs.pop(batch)[0]
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +200,7 @@ class TestPlan:
         for m in map(int, rng.permutation(np.repeat([1, 2, 3], 10))):
             idx = tuple(int(w) for w in rng.choice(20, m, replace=False))
             steps.append(Step(Lens(20, idx), Gate(random_unitary(2**m, rng), m, m, 2)))
-        plan = Circuit(20, tuple(steps))._plan_at(None)
+        plan = cached_plan(Circuit(20, tuple(steps)), None)
         kinds = [type(op) for op in plan]
         assert set(kinds) == {Gather, Gemm}
         assert kinds.count(Gemm) == 9
@@ -278,13 +288,13 @@ class TestScratchBuffer:
     def test_results_never_alias_the_kept_buffer(self, case):
         rng = np.random.default_rng(SEED)
         circ, kinds = _scratch_cases(rng)[case]
-        assert [type(op).__name__ for op in circ._plan_at(None)] == kinds
-        assert [type(op).__name__ for op in circ._plan_at(3)] == kinds
-        assert [type(op).__name__ for op in circ._plan_at(64)] == kinds
+        assert [type(op).__name__ for op in cached_plan(circ, None)] == kinds
+        assert [type(op).__name__ for op in cached_plan(circ, 3)] == kinds
+        assert [type(op).__name__ for op in cached_plan(circ, 64)] == kinds
 
         s = random_state(6, 2, rng)
         before = s.amps.copy()
-        outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._scratch[None])
+        outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._programs[None][1])
         assert np.array_equal(s.amps, before)
         want = reference_run(circ.steps, s)
         assert all(want.max_dev(State(6, 2, out)) <= 1e-12 for out in outs)
@@ -292,12 +302,12 @@ class TestScratchBuffer:
 
         batch = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         before = batch.copy()
-        outs = self.held_results(lambda: circ._run_plan(3, batch), lambda: circ._scratch[3])
+        outs = self.held_results(lambda: circ._run_plan(3, batch), lambda: circ._programs[3][1])
         assert np.array_equal(batch, before)
         assert max_entry(outs[0], dense_product(circ.steps, 6, 2) @ batch) <= 1e-10
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
-        outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._scratch[64])
+        outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._programs[64][1])
         assert max_entry(outs[0], dense_product(circ.steps, 6, 2)) <= 1e-10
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
@@ -305,7 +315,7 @@ class TestScratchBuffer:
         circ, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
         circ.run(zero_state(6))
         circ.to_gate()
-        assert circ._scratch == {None: None, 64: None}
+        assert {b: scratch for b, (_, scratch) in circ._programs.items()} == {None: None, 64: None}
 
     @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm", "in_place_first"])
     def test_later_runs_allocate_one_state_sized_array(self, monkeypatch, case):
@@ -337,7 +347,7 @@ class TestScratchBuffer:
         wants = [reference_run(circ.steps, s) for s in states]
         for s in states[:2]:
             circ.run(s)
-        assert circ._scratch[None] is not None
+        assert circ._programs[None][1] is not None
         barrier = threading.Barrier(len(states))
         results: list[list] = [[] for _ in states]
 
@@ -403,12 +413,12 @@ class TestFusion:
                                 (6, 9, 7, 8)]),
     ], ids=["ghz16", "reversal16"])
     def test_permutation_runs_fuse_apart_from_dense_bit_identical(self, circ, clusters):
-        fused = circ._fused
-        assert [st.lens.idx for st in fused.steps] == clusters
-        assert all(st.lens.m <= FUSE_WIRES for st in fused.steps)
+        fused = circ._clusters
+        assert [st.lens.idx for st in fused] == clusters
+        assert all(st.lens.m <= FUSE_WIRES for st in fused)
         # The one dense step (GHZ's Hadamard) stays alone; every other step
         # is a 0/1 permutation cluster, so no cluster mixes the two kinds.
-        dense = [st for st in fused.steps if _permutation_rows(st.gate.mat) is None]
+        dense = [st for st in fused if _permutation_rows(st.gate.mat) is None]
         raw_dense = [st for st in circ.steps if _permutation_rows(st.gate.mat) is None]
         assert len(dense) == len(raw_dense)
         assert all(a is b for a, b in zip(dense, raw_dense))
@@ -461,7 +471,7 @@ class TestFusion:
         rng = np.random.default_rng(SEED)
         steps = tuple(Step(Lens(4, (w,)), random_gate(1, q, rng)) for w in (0, 1, 2, 3, 0))
         circ = Circuit(4, steps, q)
-        assert max(st.lens.m for st in circ._fused.steps) == max_wires
+        assert max(st.lens.m for st in circ._clusters) == max_wires
         s = random_state(4, q, rng)
         assert circ.run(s).max_dev(reference_run(circ.steps, s)) <= 1e-12
 
@@ -487,18 +497,21 @@ class TestFusion:
         rng = np.random.default_rng(SEED)
         circ = Circuit(4, tuple(Step(lens, g) for lens, g in random_steps(4, 2, rng)))
         fused = circ.fused(2)
-        assert fused._fused is fused
+        assert fused._clusters is fused.steps
 
-    def test_fused_circuit_freed_with_its_last_reference(self):
-        # No reference cycle: the fused circuit and its cluster gates do not
-        # wait for the garbage collector.
+    def test_circuit_with_programs_freed_with_its_last_reference(self):
+        # No reference cycle: a circuit holding its clusters, plans and
+        # scratch buffers does not wait for the garbage collector.
         circ = ghz_circuit(6)
-        circ.run(ket((0,) * 7))
-        fused = weakref.ref(circ._fused)
+        for _ in range(2):
+            circ.run(ket((0,) * 7))
+            circ.to_gate()
+        assert all(scratch is not None for _, scratch in circ._programs.values())
+        ref = weakref.ref(circ)
         gc.disable()
         try:
             del circ
-            assert fused() is None
+            assert ref() is None
         finally:
             gc.enable()
 

@@ -373,6 +373,27 @@ class TestCheckCommand:
     def test_usage_error_exit_code(self, capsys):
         assert main(["check", "not-a-scope"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["focus-laws", "--max-wires", "-3"],
+        ["monoid", "--max-wires", "1"],
+        ["lens-laws", "--max-wires", "-1"],
+        ["lens-laws", "--max-wires", "0"],
+        ["oracle", "--trials", "0"],
+        ["unitarity", "--seed", "-1"],
+    ], ids=["focus_laws_negative_wires", "monoid_one_wire", "lens_laws_negative_wires",
+            "zero_wires_not_the_default", "oracle_no_trials", "negative_seed"])
+    def test_numeric_option_below_its_floor_is_a_usage_error(self, argv, capsys):
+        # Exit 1 would mean a law failed; no law may run, so none may pass
+        # vacuously either.
+        assert main(["check", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be at least" in err
+
+    def test_smallest_numeric_options_run(self, capsys):
+        assert main(["check", "all", "--max-wires", "2", "--trials", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
 
 # Fuzzing circuit_from_spec.  Every field is valid five draws in six and
 # junk of another JSON type otherwise.  Lenses and matrices are drawn to fit

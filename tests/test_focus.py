@@ -499,7 +499,7 @@ class TestPermutationKernel:
         # that are not adjacent cannot be viewed as (A, q**m, C), and a
         # fused GHZ cluster moves 30 of its 32 rows in 6 cycles.
         rng = np.random.default_rng(SEED)
-        ghz = ghz_circuit(4)._fused.steps[1]
+        ghz = ghz_circuit(4)._clusters[1]
         cases = [((1, 2), cnot(), "cycles"), ((2, 3), swap(), "cycles"),
                  ((1, 2, 3), toffoli(), "cycles"), ((3, 1), one_cycle_gate(2, 2, rng), "cycles"),
                  ((0, 1, 2, 3, 4), ghz.gate, "take"), ((3, 2), one_cycle_gate(2, 2, rng), "take")]

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,19 @@ class TestConstruction:
 
     def test_empty_codomain(self):
         assert Lens(0, ()).m == 0
+
+    @pytest.mark.parametrize("n, idx", [(3, (0.9,)), (3, (1.0,)), (3, (True,)),
+                                        (3, (0, False)), (3, ("1",)), (3.0, (0,)),
+                                        (True, (0,)), ("3", ())])
+    def test_non_integer_rejected(self, n, idx):
+        # int() would read 0.9 as wire 0 and True as wire 1.
+        with pytest.raises(IndexOutOfRange):
+            Lens(n, idx)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        lens = Lens(np.int64(3), (np.int32(2), np.uint8(0)))
+        assert lens == Lens(3, (2, 0))
+        assert type(lens.n) is int and all(type(i) is int for i in lens.idx)
 
 
 class TestExtract:
