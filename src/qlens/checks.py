@@ -36,7 +36,7 @@ from .gates import (
     unitarity_defect,
 )
 from .lens import Lens, all_lenses, lens_pair, lens_single
-from .oracle import assert_equiv, random_unitary
+from .oracle import assert_equiv, build_full_matrix, random_unitary
 from .parallel import (
     FocusedGate,
     combine,
@@ -290,9 +290,24 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                     got = fused._run_plan(batch, amps)
                 fusion.see(float(np.max(np.abs(got - want))), f"{where} k={k or 'default'}")
 
+    # On the identity's batch the planner composes every row move into
+    # Rows ops, the first one written by the identity fill; to_gate past
+    # _PERM_MIN_SIZE takes that path for permutation steps too.
+    collapse = _Law("identity_plan_collapse", 1e-10)
+    rng = np.random.default_rng([seed, 2])
+    for q_big, low, high in ((2, 7, 8), (3, 5, 5)):
+        for _ in range(3):
+            circ = _random_mixed_circuit(int(rng.integers(low, high + 1)), q_big, rng)
+            want = np.eye(q_big**circ.n, dtype=np.complex128)
+            for step in circ.steps:
+                want = build_full_matrix(step.lens, step.gate).mat @ want
+            collapse.see(float(np.max(np.abs(circ.to_gate().mat - want))),
+                         f"n={circ.n} q={circ.q} "
+                         f"lenses={[list(st.lens.idx) for st in circ.steps]}")
+
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-             natural, classical, fusion)]
+             natural, classical, fusion, collapse)]
 
 
 def _random_cycle(size: int, rng: np.random.Generator) -> np.ndarray:

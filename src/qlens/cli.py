@@ -266,6 +266,14 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
+def _magnitude(text: str) -> float:
+    """argparse type: a float of at least 0 (NaN or below 0, a usage error)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlens",
@@ -277,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("circuit", help="path to a circuit JSON file")
     run.add_argument("--input", required=True,
                      help="basis digit string or state file path")
-    run.add_argument("--threshold", type=float, default=0.0,
+    run.add_argument("--threshold", type=_magnitude, default=0.0,
                      help="suppress amplitudes below this magnitude")
     run.set_defaults(func=_cmd_run)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gates import Gate, apply_to_blocks, check_dense_size
 from .lens import Lens
-from .state import State, check_working_set, ket, tuple_to_index
+from .state import _CHUNK_BYTES, State, check_working_set, ket, tuple_to_index
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
         raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, state q={q}")
 
 
-# Permutation steps move row blocks chunk by chunk: a chunk of at most this
-# many bytes stays in cache across the copies that rotate one cycle, or
-# between an np.take into the spare buffer and the copy back.  On a
-# 2-vCPU Xeon at n = 20 (16 MiB state), 1 MiB chunks cut an in-place CNOT by
-# about a third on most wire pairs (wires (18, 19): 4.1 -> 2.6 ms) and a
-# `qlens run` of GHZ-20 from 58 to 38 ms.
-_CHUNK_BYTES = 1 << 20
 # Below this many amplitudes (batch axis included) a permutation step is
 # planned as a dense one: detecting the permutation and building the row
 # views cost about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us
@@ -234,6 +227,13 @@ class Take(NamedTuple):
     index: np.ndarray
 
 
+class Rows(NamedTuple):
+    """Copy row rows[r] of the state, viewed as (q**n, batch), to row r of
+    the other buffer: the composed row moves of an identity's batch."""
+
+    rows: np.ndarray
+
+
 def _permute_op(shape: tuple[int, ...], axes: list[int], cycles: list[list[int]],
                 q: int) -> Permute:
     """Permute for the ``cycles`` of a row map in axis order on the sorted
@@ -279,7 +279,7 @@ def _layout(order: list[int], front: list[int]) -> list[int]:
 
 
 def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
-          batch: int | None) -> tuple[Gather | Gemm | Permute | Take, ...]:
+          batch: int | None) -> tuple[Gather | Gemm | Permute | Take | Rows, ...]:
     """Ops that apply (lens, gate) steps, left to right, to amplitudes of
     shape (q**n,) (``batch`` None) or (q**n, batch), unchecked.
 
@@ -311,22 +311,48 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     out of lens order is conjugated into axis order once, here, unless it
     is as large as the state: then its wires are gathered in lens order.
     The wire order is restored by one Gather at the end.
+
+    On the identity's batch (``batch`` == q**n: to_gate, _collapse) each
+    Gather, Permute or Take only moves rows, so it is planned as its row
+    map: the basis-index table transposed by the Gather's axes, or with the
+    step applied (curried along its lens axes, rows taken, uncurried).  A
+    map r2 after r1 composes to r1[r2]; runs merge into one Rows, dropped
+    if it is the identity: that turns the 9 ops of the Shor-code collapse
+    into 5, of which 4 pass over the matrix.
     """
     shape, steps = (q,) * n + (() if batch is None else (batch,)), list(steps)
     size, trail = math.prod(shape), tuple(range(n, len(shape)))
     order: list[int] = list(range(n))
-    plan: list[Gather | Gemm | Permute | Take] = []
+    plan: list[Gather | Gemm | Permute | Take | Rows] = []
+    table = np.arange(q**n).reshape((q,) * n) if batch == q**n else None
 
     def place(wires: list[int]) -> tuple[list[int], int, int, bool]:
         axes = [order.index(w) for w in wires]
         lo, hi = min(axes, default=0), max(axes, default=-1)
         return axes, q**lo, size // q ** (hi + 1), hi - lo == len(axes) - 1
 
+    def relabel(rows: np.ndarray) -> None:
+        if plan and isinstance(plan[-1], Rows):
+            rows = plan.pop().rows[rows]
+        if (rows != table.reshape(-1)).any():
+            plan.append(Rows(rows))
+
+    def gather(axes: tuple[int, ...]) -> None:
+        if table is None:
+            plan.append(Gather(shape, axes + trail))
+        else:
+            relabel(table.transpose(axes).reshape(-1))
+
     for k, (lens, gate) in enumerate(steps):
         wires = list(lens.idx)
         axes, A, C, adjacent = place(wires)
         if size >= _PERM_MIN_SIZE and _permutation_rows(gate.mat) is not None:
             rows = _in_axis_order(gate.mat, axes, q).argmax(axis=1)
+            if table is not None:
+                lead = np.moveaxis(table, sorted(axes), range(len(axes)))
+                moved = lead.reshape(len(rows), -1)[rows].reshape(lead.shape)
+                relabel(np.moveaxis(moved, range(len(axes)), sorted(axes)).reshape(-1))
+                continue
             cycles = _cycles(rows)
             if adjacent and sum(map(len, cycles)) + len(cycles) >= len(rows):
                 plan.append(_take_op(A, rows, C))
@@ -342,12 +368,12 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
             front = ([w for w in wires if w not in nxt] + [w for w in wires if w in nxt]
                      + [w for w in nxt if w not in wires])
             new = _layout(order, front)
-            plan.append(Gather(shape, tuple(order.index(w) for w in new) + trail))
+            gather(tuple(order.index(w) for w in new))
             order = new
             axes, A, C, _ = place(wires)
         plan.append(Gemm(_in_axis_order(gate.mat, axes, q), A, C))
     if order != list(range(n)):
-        plan.append(Gather(shape, tuple(order.index(w) for w in range(n)) + trail))
+        gather(tuple(order.index(w) for w in range(n)))
     return tuple(plan)
 
 
@@ -379,23 +405,28 @@ def _take_rows(buf: np.ndarray, op: Take, spare: np.ndarray) -> None:
             np.copyto(dst, tmp)
 
 
-def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
+def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
              amps: np.ndarray | None,
-             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
     was made for; return the result and the other buffer, the scratch.
     ``amps`` None stands for the q**n x q**n identity (batch q**n), written
     into the first buffer: the result is then the steps' dense matrix, with
     two state-sized buffers alive instead of three.
 
-    Gathers and products alternate between two buffers; Permute and Take
-    work in place, and a caller's ``amps`` is never written (an in-place op
-    on it first copies it into the first buffer; a plan that leaves it
-    alone returns a copy).  A ``scratch`` array of the buffers' shape is the
-    second buffer, and only the first is allocated fresh; without it both
-    are, the first one first.  Whichever buffer holds the result is
-    returned and the other is handed back as the scratch, so the result
-    never shares memory with it and a caller may keep it for its next call.
+    Gathers, products and Rows alternate between two buffers (Rows take
+    mode="clip": with "raise" and out=, numpy buffers the copy, 1.3 against
+    0.44 ms at 512 x 512, 2-vCPU Xeon); Permute and Take work in place, and a caller's
+    ``amps`` is never written (an in-place op on it first copies it into
+    the first buffer).  A Rows that opens a plan on the identity costs no
+    pass: the fill puts row r's 1 at column rows[r].  A ``scratch`` array
+    of the buffers' shape is the second buffer, and only the first is
+    allocated fresh; without it both are, the first one first.  A plan with
+    no op left to run allocates no second buffer: it returns a copy of
+    ``amps``, or the identity, and hands back ``scratch``.
+    Whichever buffer holds the result is returned and the other is handed
+    back as the scratch, so the result never shares memory with it and a
+    caller may keep it for its next call.
     The fresh buffer is the one that the identity, or a copy of the
     caller's array, goes into.  With the scratch there instead, a Shor-code
     to_gate result landed in the scratch, the kept buffer changed on every
@@ -407,21 +438,27 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
     """
     owned = amps is None
     check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
+    folded = owned and bool(plan) and isinstance(plan[0], Rows)
+    ops = plan[folded:]
+    if not owned and not ops:
+        return amps.copy(), scratch
     shape = (q**n, q**n) if owned else amps.shape
     bufs = (np.empty(shape, np.complex128),
-            np.empty(shape, np.complex128) if scratch is None else scratch)
+            np.empty(shape, np.complex128) if scratch is None and ops else scratch)
     if owned:
         amps = bufs[0]
         amps.fill(0)
-        np.fill_diagonal(amps, 1)
+        amps[np.arange(q**n), plan[0].rows if folded else np.arange(q**n)] = 1
     cur = amps
-    for op in plan:
+    for op in ops:
         spare = bufs[1] if cur is bufs[0] else bufs[0]
         if isinstance(op, Gather):
             np.copyto(spare.reshape(op.shape), cur.reshape(op.shape).transpose(op.axes))
         elif isinstance(op, Gemm):
             view = (op.A, len(op.mat), op.C)
             np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
+        elif isinstance(op, Rows):
+            np.take(cur, op.rows, axis=0, out=spare, mode="clip")
         else:
             if cur is amps and not owned:
                 np.copyto(bufs[0], amps)
@@ -429,8 +466,6 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take, ...],
             (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, spare)
             continue
         cur = spare
-    if cur is amps and not owned:
-        return amps.copy(), bufs[1]
     return cur, bufs[1] if cur is bufs[0] else bufs[0]
 
 

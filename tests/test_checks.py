@@ -5,6 +5,7 @@ The acceptance criteria assert that every law passes on the real code; these
 tests show that the same laws notice when that code is wrong.
 """
 
+import numpy as np
 import pytest
 
 import qlens.circuits as circuits_module
@@ -84,6 +85,19 @@ def collapse_relabels_sorted(monkeypatch):
                             lambda wires, q, steps: real(sorted(wires), q, steps))
 
 
+def rows_compose_reversed(monkeypatch):
+    # A row map r2 that follows r1 composes to r2[r1] instead of r1[r2].
+    class Reversed(np.ndarray):
+        def __getitem__(self, rows):
+            return np.asarray(rows)[self.view(np.ndarray)]
+
+    class Rows(focus_module.Rows):
+        def __new__(cls, rows):
+            return super().__new__(cls, rows.view(Reversed))
+
+    monkeypatch.setattr(focus_module, "Rows", Rows)
+
+
 def last_step_dropped(monkeypatch):
     real = Circuit.run
     monkeypatch.setattr(Circuit, "run", lambda self, state: real(
@@ -101,6 +115,7 @@ FAULTS = {
     gate_transposed: ("oracle", "oracle_random_unitaries"),
     combine_ignores_union_order: ("monoid", "combine_commutativity"),
     collapse_relabels_sorted: ("focus-laws", "fusion_equivalence"),
+    rows_compose_reversed: ("focus-laws", "identity_plan_collapse"),
     last_step_dropped: ("examples", "ghz_preparation"),
 }
 

@@ -41,6 +41,7 @@ from qlens.circuits import FUSE_WIRES
 from qlens.focus import Gather, Gemm, _focus_steps, _permutation_rows
 from qlens.oracle import random_unitary
 import qlens.circuits as circuits_module
+import qlens.cli as cli
 import qlens.focus as focus_module
 import qlens.state as state_module
 from _helpers import (dense_product, max_entry, random_gate, random_lens, random_steps,
@@ -206,6 +207,14 @@ class TestPlan:
         assert kinds.count(Gemm) == 9
         assert kinds.count(Gather) <= 6
 
+    def test_shor_to_gate_moves_rows_twice_after_the_fill(self, comps):
+        # On the identity's batch every Gather, Permute and Take only moves
+        # rows; runs of them compose into one Rows, and the first Rows is
+        # written by the identity fill, leaving 4 passes over the matrix.
+        circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
+        plan = cached_plan(circ, 2**9)
+        assert [type(op).__name__ for op in plan] == ["Rows", "Gemm", "Rows", "Gemm", "Rows"]
+
     def test_run_and_to_gate_plan_once(self, monkeypatch):
         calls = []
         real = circuits_module._plan
@@ -241,17 +250,21 @@ class TestPlan:
 
 def _scratch_cases(rng) -> dict:
     """Circuits on 6 wires, each with the op kinds its plan must have (the
-    count of Gather and Gemm ops decides which buffer a run returns), under
-    _PERM_MIN_SIZE = 0."""
+    count of ops that write the other buffer decides which buffer a run
+    returns), under _PERM_MIN_SIZE = 0: for a state or a batch of 3, and
+    for the identity's batch of 64, where row moves merge into Rows."""
     dense = (Step(Lens(6, (0, 1, 2, 3)), random_gate(4, 2, rng)),
              Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
     return {
-        "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"]),
-        "odd": (Circuit(6, dense[:1]), ["Gemm"]),
-        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"]),
+        "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"],
+                 ["Gemm", "Rows", "Gemm", "Rows"]),
+        "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"]),
+        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"],
+                                ["Gemm", "Rows"]),
         "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
-                           ["Permute", "Gather", "Gemm", "Gather"]),
-        "identity": (Circuit(6, ()), []),
+                           ["Permute", "Gather", "Gemm", "Gather"],
+                           ["Rows", "Gemm", "Rows"]),
+        "identity": (Circuit(6, ()), [], []),
     }
 
 
@@ -266,9 +279,10 @@ class TestScratchBuffer:
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
 
     @staticmethod
-    def held_results(call, kept, runs=4):
+    def held_results(call, kept, runs=4, keeps=True):
         """Run ``call`` ``runs`` times; each result must keep its values and
-        share no memory with a later result or with the kept buffer."""
+        share no memory with a later result or with the kept buffer.  A
+        plan with no op to run (``keeps`` False) keeps no buffer."""
         held = []
         for _ in range(runs):
             out = call()
@@ -277,24 +291,26 @@ class TestScratchBuffer:
                 assert not np.shares_memory(old, out)
             held.append((out, out.copy()))
         scratch = kept()
-        assert scratch is not None
+        assert (scratch is not None) == keeps
         for out, values in held:
             assert np.array_equal(out, values)
-            assert not np.shares_memory(out, scratch)
+            assert scratch is None or not np.shares_memory(out, scratch)
         return [out for out, _ in held]
 
     @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm",
                                       "in_place_first", "identity"])
     def test_results_never_alias_the_kept_buffer(self, case):
         rng = np.random.default_rng(SEED)
-        circ, kinds = _scratch_cases(rng)[case]
+        circ, kinds, identity_kinds = _scratch_cases(rng)[case]
         assert [type(op).__name__ for op in cached_plan(circ, None)] == kinds
         assert [type(op).__name__ for op in cached_plan(circ, 3)] == kinds
-        assert [type(op).__name__ for op in cached_plan(circ, 64)] == kinds
+        assert [type(op).__name__ for op in cached_plan(circ, 64)] == identity_kinds
 
         s = random_state(6, 2, rng)
         before = s.amps.copy()
-        outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._programs[None][1])
+        keeps = case != "identity"
+        outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._programs[None][1],
+                                 keeps=keeps)
         assert np.array_equal(s.amps, before)
         want = reference_run(circ.steps, s)
         assert all(want.max_dev(State(6, 2, out)) <= 1e-12 for out in outs)
@@ -302,17 +318,19 @@ class TestScratchBuffer:
 
         batch = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         before = batch.copy()
-        outs = self.held_results(lambda: circ._run_plan(3, batch), lambda: circ._programs[3][1])
+        outs = self.held_results(lambda: circ._run_plan(3, batch), lambda: circ._programs[3][1],
+                                 keeps=keeps)
         assert np.array_equal(batch, before)
         assert max_entry(outs[0], dense_product(circ.steps, 6, 2) @ batch) <= 1e-10
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
-        outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._programs[64][1])
+        outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._programs[64][1],
+                                 keeps=keeps)
         assert max_entry(outs[0], dense_product(circ.steps, 6, 2)) <= 1e-10
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
     def test_run_once_keeps_nothing(self):
-        circ, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
+        circ, _, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
         circ.run(zero_state(6))
         circ.to_gate()
         assert {b: scratch for b, (_, scratch) in circ._programs.items()} == {None: None, 64: None}
@@ -322,7 +340,7 @@ class TestScratchBuffer:
         # The first two calls allocate both buffers, as every call did
         # before; the second keeps its scratch, so each later call
         # allocates only the array it returns.
-        circ, _ = _scratch_cases(np.random.default_rng(SEED))[case]
+        circ, _, _ = _scratch_cases(np.random.default_rng(SEED))[case]
         counts = []
         real = np.empty
 
@@ -336,6 +354,38 @@ class TestScratchBuffer:
             counts.append(0)
             call()
         assert counts == [2, 2, 1, 1, 1] * 2
+
+    def test_plans_with_nothing_to_run_allocate_no_scratch(self, monkeypatch):
+        # An empty plan copies the input or writes the identity, and the
+        # to_gate of a pure permutation circuit folds its one Rows into
+        # the identity fill: no op runs, so no second buffer is made.
+        counts = []
+        real = np.empty
+
+        def counted(shape, *a, **k):
+            counts[-1] += 1
+            return real(shape, *a, **k)
+
+        empty, perm = Circuit(16, ()), reversal_circuit(6)
+        assert [type(op).__name__ for op in cached_plan(perm, 64)] == ["Rows"]
+        s = random_state(16, 2, np.random.default_rng(SEED))
+        monkeypatch.setattr(np, "empty", counted)
+        outs = []
+        for _ in range(3):
+            counts.append(0)
+            outs.append(empty.run(s).amps)
+        assert counts == [0, 0, 0]
+        assert all(np.array_equal(out, s.amps) and not np.shares_memory(out, s.amps)
+                   for out in outs)
+        for circ in (Circuit(6, ()), perm):
+            counts.clear()
+            for _ in range(3):
+                counts.append(0)
+                got = circ.to_gate().mat
+            assert counts == [1, 1, 1]
+            assert np.array_equal(got, dense_product(circ.steps, 6, 2))
+            assert circ._programs[64][1] is None
+        assert empty._programs[None][1] is None
 
     def test_threads_running_one_circuit_share_no_buffer(self):
         # Run twice first, so that the circuit holds a scratch buffer that
@@ -405,6 +455,29 @@ class TestFusion:
         fused = Circuit(3, (u, cx, w)).fused(2)
         assert [st.lens.idx for st in fused.steps] == [(0, 2), (0, 1)]
         assert fused.steps[1] is cx
+
+    @pytest.mark.parametrize("circ, builds", [
+        (cli.circuit_from_spec(cli.circuit_to_spec(ghz_circuit(19))), 2),
+        (reversal_circuit(20), 1),
+    ], ids=["ghz20_parsed", "reversal20"])
+    def test_matching_clusters_build_one_gate(self, monkeypatch, circ, builds):
+        # A parsed circuit holds a new Gate for every op, so matching
+        # clusters are found by their relabelled lenses and gate bytes.
+        # Each shared gate equals the one built from the cluster's own steps.
+        calls = []
+        real = circuits_module._collapse
+        monkeypatch.setattr(circuits_module, "_collapse",
+                            lambda *a: calls.append(a) or real(*a))
+        fused = circ._clusters
+        assert len(calls) == builds
+        left = list(circ.steps)
+        for st in fused:
+            own = [old for old in left if set(old.lens.idx) <= set(st.lens.idx)]
+            left = [old for old in left if not any(old is o for o in own)]
+            if len(own) > 1:
+                alone = real(st.lens.idx, 2, ((o.lens, o.gate) for o in own))
+                assert np.array_equal(st.gate.mat, alone.mat)
+        assert not left
 
     @pytest.mark.parametrize("circ, clusters", [
         (ghz_circuit(15), [(0,), (0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10, 11, 12),

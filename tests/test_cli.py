@@ -267,6 +267,17 @@ class TestRunCommand:
         assert main(["run", ghz_path, "--input", "000", "--threshold", "0.9"]) == 0
         assert capsys.readouterr().out.strip() == ""
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "-inf"])
+    def test_threshold_not_a_magnitude_is_a_usage_error(self, tmp_path, capsys, value):
+        # NaN and negative thresholds suppress nothing; they used to run as 0.
+        ghz_path = str(tmp_path / "ghz.json")
+        main(["examples", "ghz", "--n", "2", "--out", ghz_path])
+        capsys.readouterr()
+        assert main(["run", ghz_path, "--input", "000", f"--threshold={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be at least 0" in err
+
     def test_state_file_input(self, circuit_file, tmp_path, capsys):
         path = circuit_file(BIT_FLIP_ENC)
         state_path = tmp_path / "input.state"

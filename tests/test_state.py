@@ -24,6 +24,7 @@ from qlens import (
     zero_state,
 )
 from qlens.state import check_allocation
+import qlens.state as state_module
 
 SEED = 20240521
 
@@ -229,6 +230,24 @@ class TestTextFormat:
                     if not (abs(a) == 0.0 or abs(a) < threshold)
                 ]
                 assert state_to_text(s, threshold) == "\n".join(want)
+
+    @pytest.mark.parametrize("q, n, chunk", [(2, 4, 64), (3, 3, 64), (2, 17, None)])
+    def test_text_scanned_in_chunks_matches_one_pass(self, monkeypatch, q, n, chunk):
+        # The magnitude scan runs chunk by chunk: 4 amplitudes split the
+        # small states (27 amplitudes leave a partial last chunk), the
+        # default chunk splits 2**17 amplitudes in two.  About 40 entries
+        # are nonzero, two on each side of every boundary.
+        rng = np.random.default_rng(SEED)
+        amps = random_state(n, q, rng).amps.copy()
+        bounds = np.arange(0, amps.size, (chunk or state_module._CHUNK_BYTES) // 16)
+        edges = np.concatenate([bounds - 2, bounds - 1, bounds, bounds + 1]) % amps.size
+        amps[(rng.random(amps.size) > 40 / amps.size) & ~np.isin(np.arange(amps.size), edges)] = 0
+        s = State(n, q, amps)
+        chunk = chunk or state_module._CHUNK_BYTES
+        monkeypatch.setattr(state_module, "_CHUNK_BYTES", 16 * s.amps.size)
+        want = [state_to_text(s, t) for t in (0.0, 0.001, 0.2, math.inf)]
+        monkeypatch.setattr(state_module, "_CHUNK_BYTES", chunk)
+        assert [state_to_text(s, t) for t in (0.0, 0.001, 0.2, math.inf)] == want
 
     def test_huge_basis_line_hits_guard(self):
         # 2**15000 is too big to print; the guard decides from the arity.
