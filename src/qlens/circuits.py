@@ -70,10 +70,10 @@ class Circuit:
         between them.
 
         The result is a fresh array.  From the circuit's second run on, the
-        executor's other buffer stays with the circuit (one state-sized
-        array per batch size, until the circuit is freed), and each later
-        run allocates only its result; a circuit run once keeps nothing
-        (_run_plan has the measurements behind both rules)."""
+        executor's other buffer, if the plan writes one, stays with the
+        circuit (one state-sized array per batch size, until the circuit is
+        freed), and each later run allocates only its result (_run_plan has
+        the measurements)."""
         if state.n != self.n or state.q != self.q:
             raise ShapeMismatch(
                 f"circuit on ({self.n}, q={self.q}) run on ({state.n}, q={state.q})"
@@ -147,23 +147,22 @@ class Circuit:
 
     def _run_plan(self, batch: int | None, amps: np.ndarray | None) -> np.ndarray:
         """_execute the plan for this batch size, made on first use, keeping
-        its scratch buffer beside it from the plan's second execution on.
-
-        The first execution keeps nothing (its entry holds None for the
-        scratch): a circuit run once, as in every `qlens run`, allocates
-        both buffers, as it always did, and frees them on return.  Kept
-        from the first run, GHZ-20's 16 MiB scratch outlived the run
-        through text output, and a `qlens run` of GHZ-20 took 2290-3090
-        minor faults instead of 1120-1300, and 3-21% longer.  The second
-        execution keeps its scratch, and every later one allocates only
-        the buffer it returns.  With both buffers new on every call, glibc
-        gave them back to the OS in between, and a Shor-code to_gate took
-        about 1240 minor faults and 10.3 ms a call; with the scratch kept,
-        none and 5.6 ms.  A call pops the entry out of the cache and puts
-        it back on return, so two threads running one circuit never share
-        a scratch buffer: one that finds the entry taken plans again and
-        allocates its own, which costs time, not results.  The buffer lives
-        until the circuit is freed.
+        the scratch buffer it hands back beside it from the plan's second
+        execution on, so that each later call allocates only the buffer it
+        returns.  With both buffers new on every call, glibc gave them back
+        to the OS in between, and a Shor-code to_gate took about 1240 minor
+        faults and 10.3 ms a call; with the scratch kept, none and 5.6 ms.
+        The first execution keeps nothing.  Kept from the first call, the
+        scratch took collapse_small from 2520-3000 minor faults an op to
+        3570-4490, and from 5.4-5.9 to 7.6-8.1 ms (2-vCPU Xeon); with
+        glibc's mmap threshold pinned (MALLOC_MMAP_THRESHOLD_) both read
+        alike, so the cost is where glibc puts a buffer allocated before its
+        threshold has risen: mapped apart from the heap, it leaves later
+        results at the heap's top, which goes back to the OS.  A call
+        pops the entry out of the cache and puts it back on return, so two
+        threads running one circuit never share a scratch buffer: one that
+        finds the entry taken plans again and allocates its own, which costs
+        time, not results.  The buffer lives until the circuit is freed.
         """
         plan, scratch = self._programs.pop(batch, (None, None))
         first = plan is None

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .gates import Gate, builtin, builtin_names, check_dense_size, parametric_wires
 from .lens import Lens
-from .state import State, ket, state_from_text, state_to_text
+from .state import State, check_text_alphabet, ket, state_from_text, state_to_text
 
 
 def parse_circuit(path: str | Path) -> circuits.Circuit:
@@ -190,12 +190,7 @@ def _load_input(value: str, circ: circuits.Circuit) -> State:
     if len(value) == circ.n and set(value) <= symbols:
         return ket(tuple(int(c) for c in value), circ.q)
     if os.path.exists(value):
-        state = state_from_text(Path(value).read_text(), circ.q)
-        if state.n != circ.n:
-            raise ParseError(
-                f"state file has {state.n} wires, circuit has {circ.n}"
-            )
-        return state
+        return state_from_text(Path(value).read_text(), circ.q, circ.n)
     raise ParseError(
         f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
         f"nor a readable state file"
@@ -204,6 +199,7 @@ def _load_input(value: str, circ: circuits.Circuit) -> State:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     circ = parse_circuit(args.circuit)
+    check_text_alphabet(circ.q)  # before the run whose output it could not print
     state = _load_input(args.input, circ)
     final = circ.run(state)
     text = state_to_text(final, threshold=args.threshold)

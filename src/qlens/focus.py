@@ -377,12 +377,12 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     return tuple(plan)
 
 
-def _permute_blocks(buf: np.ndarray, op: Permute, spare: np.ndarray) -> None:
-    """Run a Permute on buf, each cycle rotating through ``spare`` (a buffer
-    as large), chunk by chunk; fixed rows are not touched."""
+def _permute_blocks(buf: np.ndarray, op: Permute, temp: np.ndarray) -> None:
+    """Run a Permute on buf, each cycle rotating through ``temp``, chunk by
+    chunk; fixed rows are not touched."""
     buf = buf.reshape(op.shape)
     blocks = {i: buf[at] for i, at in op.index.items()}
-    tmp = spare.reshape(-1)[:math.prod(op.tail)].reshape(op.tail)
+    tmp = temp[:math.prod(op.tail)].reshape(op.tail)
     for chunk in product(*map(range, op.chunks)):
         at = chunk + (Ellipsis,)
         for cycle in op.cycles:
@@ -392,15 +392,15 @@ def _permute_blocks(buf: np.ndarray, op: Permute, spare: np.ndarray) -> None:
             np.copyto(blocks[cycle[-1]][at], tmp)
 
 
-def _take_rows(buf: np.ndarray, op: Take, spare: np.ndarray) -> None:
-    """Run a Take on buf, each chunk taken into ``spare`` and copied back."""
-    n_c, flat = len(op.index), spare.reshape(-1)
+def _take_rows(buf: np.ndarray, op: Take, temp: np.ndarray) -> None:
+    """Run a Take on buf, each chunk taken into ``temp`` and copied back."""
+    n_c = len(op.index)
     view = buf.reshape(op.A, len(op.index[0]) * n_c, -1)
     for a in range(0, op.A, op.a_step):
         part = view[a:a + op.a_step]
         for c, index in enumerate(op.index):
             dst = part[:, c::n_c]
-            tmp = flat[:dst.size].reshape(dst.shape)
+            tmp = temp[:dst.size].reshape(dst.shape)
             np.take(part, index, axis=1, out=tmp, mode="clip")
             np.copyto(dst, tmp)
 
@@ -409,63 +409,70 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
              amps: np.ndarray | None,
              scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
-    was made for; return the result and the other buffer, the scratch.
-    ``amps`` None stands for the q**n x q**n identity (batch q**n), written
-    into the first buffer: the result is then the steps' dense matrix, with
-    two state-sized buffers alive instead of three.
+    was made for; return the result and the other buffer (None if no op
+    wrote one), the scratch.  ``amps`` None stands for the q**n x q**n
+    identity (batch q**n).
 
-    Gathers, products and Rows alternate between two buffers (Rows take
-    mode="clip": with "raise" and out=, numpy buffers the copy, 1.3 against
-    0.44 ms at 512 x 512, 2-vCPU Xeon); Permute and Take work in place, and a caller's
-    ``amps`` is never written (an in-place op on it first copies it into
-    the first buffer).  A Rows that opens a plan on the identity costs no
-    pass: the fill puts row r's 1 at column rows[r].  A ``scratch`` array
-    of the buffers' shape is the second buffer, and only the first is
-    allocated fresh; without it both are, the first one first.  A plan with
-    no op left to run allocates no second buffer: it returns a copy of
-    ``amps``, or the identity, and hands back ``scratch``.
-    Whichever buffer holds the result is returned and the other is handed
-    back as the scratch, so the result never shares memory with it and a
-    caller may keep it for its next call.
-    The fresh buffer is the one that the identity, or a copy of the
-    caller's array, goes into.  With the scratch there instead, a Shor-code
-    to_gate result landed in the scratch, the kept buffer changed on every
-    call, and collapse_small ops, each followed by its output check, took
-    2980-3190 minor faults instead of 2510-2570, and 8-20% longer (2-vCPU
-    Xeon, median of 300).  Before allocating, the working set (the
-    caller's ``amps`` and two buffers, or two buffers for the identity)
-    must fit MAX_STATE_ENTRIES.
+    Each of the two state-sized buffers is allocated when an op first
+    writes it: the identity fill, the copy of the caller's ``amps`` that an
+    in-place op (or a plan that writes nothing) makes first, and the
+    destination of a Gather, Gemm or Rows.  The first two go into the first
+    buffer, always fresh; a ``scratch`` of the buffers' shape is the second
+    (with the scratch first, a Shor-code to_gate result landed in it, and
+    collapse_small ops took 8-20% longer, 2-vCPU Xeon).  Gathers, products
+    and Rows alternate between the buffers (Rows take mode="clip": with
+    "raise" and out=, numpy buffers the copy, 1.3 against 0.44 ms at
+    512 x 512); Permute and Take work in place through one temp of
+    _CHUNK_BYTES // 16 amplitudes, or of a Take's q**m rows if more.  A
+    Rows that opens a plan on the identity costs no pass: the fill puts row
+    r's 1 at column rows[r].  The result never shares memory with the
+    scratch handed back, so a caller may keep that for its next call.
+    Before allocating, the working set (the caller's ``amps`` and two
+    buffers, or two buffers for the identity) must fit MAX_STATE_ENTRIES.
     """
     owned = amps is None
     check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
     folded = owned and bool(plan) and isinstance(plan[0], Rows)
-    ops = plan[folded:]
-    if not owned and not ops:
-        return amps.copy(), scratch
     shape = (q**n, q**n) if owned else amps.shape
-    bufs = (np.empty(shape, np.complex128),
-            np.empty(shape, np.complex128) if scratch is None and ops else scratch)
+    bufs = [None, scratch]
+
+    def buffer(i: int) -> np.ndarray:
+        if bufs[i] is None:
+            bufs[i] = np.empty(shape, np.complex128)
+        return bufs[i]
+
+    def own(cur: np.ndarray) -> np.ndarray:
+        """cur, or its copy in the first buffer if it is the caller's array."""
+        if cur is not amps:
+            return cur
+        np.copyto(buffer(0), amps)
+        return bufs[0]
+
     if owned:
-        amps = bufs[0]
-        amps.fill(0)
-        amps[np.arange(q**n), plan[0].rows if folded else np.arange(q**n)] = 1
-    cur = amps
-    for op in ops:
-        spare = bufs[1] if cur is bufs[0] else bufs[0]
+        cur = buffer(0)
+        cur.fill(0)
+        cur[np.arange(q**n), plan[0].rows if folded else np.arange(q**n)] = 1
+    else:
+        cur = amps
+    temp = None
+    for op in plan[folded:]:
+        if isinstance(op, (Permute, Take)):
+            cur = own(cur)
+            need = max(_CHUNK_BYTES // 16, len(op.index[0]) if isinstance(op, Take) else 1)
+            if temp is None or temp.size < need:
+                temp = np.empty(need, np.complex128)
+            (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, temp)
+            continue
+        spare = buffer(1 if cur is bufs[0] else 0)
         if isinstance(op, Gather):
             np.copyto(spare.reshape(op.shape), cur.reshape(op.shape).transpose(op.axes))
         elif isinstance(op, Gemm):
             view = (op.A, len(op.mat), op.C)
             np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
-        elif isinstance(op, Rows):
-            np.take(cur, op.rows, axis=0, out=spare, mode="clip")
         else:
-            if cur is amps and not owned:
-                np.copyto(bufs[0], amps)
-                cur, spare = bufs[0], bufs[1]
-            (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, spare)
-            continue
+            np.take(cur, op.rows, axis=0, out=spare, mode="clip")
         cur = spare
+    cur = own(cur)
     return cur, bufs[1] if cur is bufs[0] else bufs[0]
 
 

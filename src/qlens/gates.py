@@ -14,7 +14,13 @@ import re
 
 import numpy as np
 
-from .errors import ShapeMismatch, SizeGuardExceeded, UnknownGate, UnsupportedAlphabet
+from .errors import (
+    IndexOutOfRange,
+    ShapeMismatch,
+    SizeGuardExceeded,
+    UnknownGate,
+    UnsupportedAlphabet,
+)
 from .state import State
 
 # Correctly rounded 1/sqrt(2); sqrt(0.5) is exact to the last ulp while
@@ -36,10 +42,10 @@ def check_dense_size(n: int, q: int, max_bits: int | None = None) -> int:
 
 
 def _wires_of(dim: int, q: int, what: str) -> int:
-    """Number of wires k with q**k == dim, or ShapeMismatch."""
+    """Number of wires k with q**k == dim (q >= 1), or ShapeMismatch."""
     if dim == 1:
         return 0
-    k = max(round(math.log(dim, q)), 1)
+    k = max(round(math.log(dim, q)), 1) if q > 1 else 0
     if q**k != dim:
         raise ShapeMismatch(f"{what} dimension {dim} is not a power of q={q}")
     return k
@@ -61,6 +67,8 @@ class Gate:
     ):
         # _trusted: the caller hands over a fresh array nobody else holds, so
         # it is kept as is instead of copied.
+        if q < 1:
+            raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
         m = np.ascontiguousarray(mat, dtype=np.complex128)
         if m.ndim != 2:
             raise ShapeMismatch(f"gate matrix must be 2-D, got shape {m.shape}")

@@ -197,6 +197,12 @@ def random_state(n: int, q: int = 2, rng: np.random.Generator | None = None) -> 
     return State(n, q, a, _trusted=True)
 
 
+def check_text_alphabet(q: int) -> None:
+    """Validate that basis digits of alphabet size q fit one character each."""
+    if q > 10:
+        raise ShapeMismatch(f"text format supports q <= 10, got q={q}")
+
+
 def state_to_text(state: State, threshold: float = 0.0) -> str:
     """Serialize to the line format ``<digits> <re> <im>``.
 
@@ -205,8 +211,7 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
     shortest round-trip precision, so parsing the text recovers the state
     bit-exactly.  Requires q <= 10 (single-character digits).
     """
-    if state.q > 10:
-        raise ShapeMismatch(f"text format supports q <= 10, got q={state.q}")
+    check_text_alphabet(state.q)
     amps, step = state.amps, _CHUNK_BYTES // 16
     mag, keep = np.empty(min(step, amps.size)), []
     for lo in range(0, amps.size, step):
@@ -222,7 +227,9 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
 
 
 def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
-    """Parse the ``<digits> <re> <im>`` line format back into a state."""
+    """Parse the ``<digits> <re> <im>`` line format back into a state, of
+    ``n`` wires if given.  A first line beyond the allocation guard raises
+    SizeGuardExceeded before its width is compared with ``n``."""
     amps: dict[int, complex] = {}
     arity = n
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,12 +240,13 @@ def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected '<digits> <re> <im>', got {raw!r}")
         digits, re_s, im_s = parts
+        if not amps:
+            # before a huge first line is compared, or read as an index
+            check_allocation(len(digits), q)
         if arity is None:
             arity = len(digits)
         if len(digits) != arity:
             raise ParseError(f"line {lineno}: arity {len(digits)} != {arity}")
-        if not amps:
-            check_allocation(arity, q)  # before a huge first line is read as an index
         if not (digits.isascii() and digits.isdigit()):
             raise ParseError(f"line {lineno}: bad digit string {digits!r}")
         v = tuple(int(c) for c in digits)
@@ -255,8 +263,8 @@ def state_from_text(text: str, q: int = 2, n: int | None = None) -> State:
         if pos in amps:
             raise ParseError(f"line {lineno}: duplicate entry for {digits!r}")
         amps[pos] = complex(re_v, im_v)
-    if arity is None:
-        raise ParseError("state file contains no entries and no arity was given")
+    if not amps:
+        raise ParseError("state file contains no entries")
     dim = check_allocation(arity, q)
     a = np.zeros(dim, dtype=np.complex128)
     a[list(amps)] = list(amps.values())

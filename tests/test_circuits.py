@@ -250,28 +250,30 @@ class TestPlan:
 
 def _scratch_cases(rng) -> dict:
     """Circuits on 6 wires, each with the op kinds its plan must have (the
-    count of ops that write the other buffer decides which buffer a run
-    returns), under _PERM_MIN_SIZE = 0: for a state or a batch of 3, and
-    for the identity's batch of 64, where row moves merge into Rows."""
+    ops that write a buffer decide which buffers a run allocates and which
+    one it returns), under _PERM_MIN_SIZE = 0: for a state or a batch of 3,
+    and for the identity's batch of 64, where row moves merge into Rows;
+    then whether a run, and a to_gate, writes both buffers."""
     dense = (Step(Lens(6, (0, 1, 2, 3)), random_gate(4, 2, rng)),
              Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
     return {
         "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"],
-                 ["Gemm", "Rows", "Gemm", "Rows"]),
-        "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"]),
+                 ["Gemm", "Rows", "Gemm", "Rows"], (True, True)),
+        "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"], (False, True)),
         "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"],
-                                ["Gemm", "Rows"]),
+                                ["Gemm", "Rows"], (False, True)),
         "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
                            ["Permute", "Gather", "Gemm", "Gather"],
-                           ["Rows", "Gemm", "Rows"]),
-        "identity": (Circuit(6, ()), [], []),
+                           ["Rows", "Gemm", "Rows"], (True, True)),
+        "identity": (Circuit(6, ()), [], [], (False, False)),
     }
 
 
 class TestScratchBuffer:
-    """From its second execution on, a plan keeps the buffer that _execute
-    does not return beside it, and later calls allocate only the buffer
-    they return.  A kept buffer that ever became a returned array would
+    """_execute allocates each buffer when an op first writes it, and from
+    its second execution on a plan keeps the written buffer that _execute
+    does not return beside it, so a later call allocates only the buffer it
+    returns.  A kept buffer that ever became a returned array would
     silently overwrite a result the caller holds."""
 
     @pytest.fixture(autouse=True)
@@ -282,7 +284,7 @@ class TestScratchBuffer:
     def held_results(call, kept, runs=4, keeps=True):
         """Run ``call`` ``runs`` times; each result must keep its values and
         share no memory with a later result or with the kept buffer.  A
-        plan with no op to run (``keeps`` False) keeps no buffer."""
+        plan that writes one buffer (``keeps`` False) keeps none."""
         held = []
         for _ in range(runs):
             out = call()
@@ -301,14 +303,13 @@ class TestScratchBuffer:
                                       "in_place_first", "identity"])
     def test_results_never_alias_the_kept_buffer(self, case):
         rng = np.random.default_rng(SEED)
-        circ, kinds, identity_kinds = _scratch_cases(rng)[case]
+        circ, kinds, identity_kinds, (keeps, identity_keeps) = _scratch_cases(rng)[case]
         assert [type(op).__name__ for op in cached_plan(circ, None)] == kinds
         assert [type(op).__name__ for op in cached_plan(circ, 3)] == kinds
         assert [type(op).__name__ for op in cached_plan(circ, 64)] == identity_kinds
 
         s = random_state(6, 2, rng)
         before = s.amps.copy()
-        keeps = case != "identity"
         outs = self.held_results(lambda: circ.run(s).amps, lambda: circ._programs[None][1],
                                  keeps=keeps)
         assert np.array_equal(s.amps, before)
@@ -325,22 +326,23 @@ class TestScratchBuffer:
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
         outs = self.held_results(lambda: circ.to_gate().mat, lambda: circ._programs[64][1],
-                                 keeps=keeps)
+                                 keeps=identity_keeps)
         assert max_entry(outs[0], dense_product(circ.steps, 6, 2)) <= 1e-10
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
     def test_run_once_keeps_nothing(self):
-        circ, _, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
+        circ, _, _, _ = _scratch_cases(np.random.default_rng(SEED))["even"]
         circ.run(zero_state(6))
         circ.to_gate()
         assert {b: scratch for b, (_, scratch) in circ._programs.items()} == {None: None, 64: None}
 
     @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm", "in_place_first"])
     def test_later_runs_allocate_one_state_sized_array(self, monkeypatch, case):
-        # The first two calls allocate both buffers, as every call did
-        # before; the second keeps its scratch, so each later call
-        # allocates only the array it returns.
-        circ, _, _ = _scratch_cases(np.random.default_rng(SEED))[case]
+        # A call allocates the buffers its plan writes; the second keeps
+        # the one it does not return, so each later call allocates only
+        # the array it returns.  On the identity (to_gate) every plan here
+        # writes both buffers.
+        circ, _, _, (keeps, _) = _scratch_cases(np.random.default_rng(SEED))[case]
         counts = []
         real = np.empty
 
@@ -353,12 +355,13 @@ class TestScratchBuffer:
         for call in [lambda: circ.run(s)] * 5 + [circ.to_gate] * 5:
             counts.append(0)
             call()
-        assert counts == [2, 2, 1, 1, 1] * 2
+        assert counts == ([2, 2, 1, 1, 1] if keeps else [1] * 5) + [2, 2, 1, 1, 1]
 
     def test_plans_with_nothing_to_run_allocate_no_scratch(self, monkeypatch):
         # An empty plan copies the input or writes the identity, and the
         # to_gate of a pure permutation circuit folds its one Rows into
-        # the identity fill: no op runs, so no second buffer is made.
+        # the identity fill: each call writes, and allocates, only the
+        # buffer it returns.
         counts = []
         real = np.empty
 
@@ -374,7 +377,7 @@ class TestScratchBuffer:
         for _ in range(3):
             counts.append(0)
             outs.append(empty.run(s).amps)
-        assert counts == [0, 0, 0]
+        assert counts == [1, 1, 1]
         assert all(np.array_equal(out, s.amps) and not np.shares_memory(out, s.amps)
                    for out in outs)
         for circ in (Circuit(6, ()), perm):

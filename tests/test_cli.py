@@ -42,6 +42,21 @@ BIT_FLIP_ENC = {
 }
 
 
+def count_allocations(monkeypatch) -> list[int]:
+    """Record the size of every np.empty and np.zeros array from now on."""
+    sizes = []
+    for name in ("empty", "zeros"):
+        real = getattr(np, name)
+
+        def counted(shape, *a, _real=real, **k):
+            out = _real(shape, *a, **k)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, name, counted)
+    return sizes
+
+
 @pytest.fixture
 def circuit_file(tmp_path):
     def write(doc, name="circuit.json"):
@@ -305,6 +320,51 @@ class TestRunCommand:
         state_path.write_text("0" * 15000 + " 1 0\n")
         assert main(["run", path, "--input", str(state_path)]) == 2
         assert "guard" in capsys.readouterr().err
+
+    def test_wider_state_file_refused_before_its_table(self, circuit_file, tmp_path,
+                                                        monkeypatch, capsys):
+        # A 25-wire line fits the guard, so only its width against the
+        # circuit's 3 wires refuses it, before 2**25 amplitudes are allocated.
+        path = circuit_file(BIT_FLIP_ENC)
+        state_path = tmp_path / "wide.state"
+        state_path.write_text("0" * 25 + " 1 0\n")
+        sizes = count_allocations(monkeypatch)
+        assert main(["run", path, "--input", str(state_path)]) == 2
+        assert "arity 25 != 3" in capsys.readouterr().err
+        assert 2**25 not in sizes
+
+    def test_empty_state_file_exit_code(self, circuit_file, tmp_path, capsys):
+        path = circuit_file(BIT_FLIP_ENC)
+        state_path = tmp_path / "empty.state"
+        state_path.write_text("# no entries\n")
+        assert main(["run", path, "--input", str(state_path)]) == 2
+        assert "no entries" in capsys.readouterr().err
+
+    def test_alphabet_beyond_text_refused_before_run(self, circuit_file, monkeypatch, capsys):
+        # Neither the input (here no basis string and no file) is read nor
+        # the circuit run: the text format could not print the result.
+        path = circuit_file({"qudit_dim": 11, "wires": 1, "ops": []})
+        runs = []
+        monkeypatch.setattr(Circuit, "run", lambda *a: runs.append(a))
+        assert main(["run", path, "--input", "no-such-input"]) == 2
+        assert "text format supports q <= 10, got q=11" in capsys.readouterr().err
+        assert runs == []
+
+    @pytest.mark.parametrize("wires", [17, 20])
+    def test_ghz_run_allocates_two_state_sized_arrays(self, tmp_path, monkeypatch, capsys,
+                                                      wires):
+        # The input ket and the result: the plan's one Gemm writes the
+        # first buffer, and its Takes permute that in place through a
+        # 2**16-amplitude temp, so no second buffer is made.  (At 16 wires
+        # the temp would be as large as the state.)
+        ghz_path = str(tmp_path / "ghz.json")
+        assert main(["examples", "ghz", "--n", str(wires - 1), "--out", ghz_path]) == 0
+        capsys.readouterr()
+        sizes = count_allocations(monkeypatch)
+        assert main(["run", ghz_path, "--input", "0" * wires]) == 0
+        assert sizes.count(2**wires) == 2
+        assert capsys.readouterr().out.split() == ["0" * wires, "0.7071067811865476", "0.0",
+                                                    "1" * wires, "0.7071067811865476", "0.0"]
 
     def test_run_past_the_working_set_guard_exit_code(self, circuit_file, monkeypatch, capsys):
         # A 10-wire ket fits a guard of 2**10 amplitudes; the run's input and

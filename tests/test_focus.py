@@ -449,7 +449,10 @@ class TestPermutationKernel:
         monkeypatch.setattr(np, "copyto", counted("copyto"))
         monkeypatch.setattr(np, "matmul", counted("matmul"))
         got = _focus_steps(5, 2, [(Lens(5, (4, 1)), identity(2))], amps)
-        assert calls == [] and np.array_equal(got, amps)
+        # the one pass is the copy of the caller's array that is the result
+        assert calls == ["copyto"] and np.array_equal(got, amps)
+        assert not np.shares_memory(got, amps)
+        calls.clear()
         # the caller's array copied once, then one 2-cycle per step (3 copies each)
         _focus_steps(5, 2, [(Lens(5, (4, 1)), cnot()), (Lens(5, (0, 3)), cnot())], amps)
         assert (calls.count("copyto"), calls.count("matmul")) == (7, 0)

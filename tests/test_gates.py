@@ -7,6 +7,7 @@ import pytest
 
 from qlens import (
     Gate,
+    IndexOutOfRange,
     ShapeMismatch,
     SizeGuardExceeded,
     UnknownGate,
@@ -71,6 +72,22 @@ class TestConstruction:
     def test_non_power_dimension_rejected(self):
         with pytest.raises(ShapeMismatch):
             gate_from_matrix(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_alphabet_below_one_rejected(self, q):
+        with pytest.raises(IndexOutOfRange, match="alphabet size"):
+            Gate(np.eye(2), q=q)
+        with pytest.raises(IndexOutOfRange):
+            Gate(np.eye(1), 0, 0, q=q)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1)])
+    def test_unary_alphabet_admits_only_dimension_one(self, shape):
+        with pytest.raises(ShapeMismatch, match="q=1"):
+            Gate(np.ones(shape), q=1)
+
+    def test_unary_alphabet_zero_wire_gate(self):
+        g = Gate(np.eye(1), q=1)
+        assert (g.wires_in, g.wires_out, g.q) == (0, 0, 1)
 
     def test_declared_arity_must_match(self):
         with pytest.raises(ShapeMismatch):
