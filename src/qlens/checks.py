@@ -291,19 +291,26 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                 fusion.see(float(np.max(np.abs(got - want))), f"{where} k={k or 'default'}")
 
     # On the identity's batch the planner composes every row move into
-    # Rows ops, the first one written by the identity fill; to_gate past
-    # _PERM_MIN_SIZE takes that path for permutation steps too.
+    # Rows ops; to_gate past _PERM_MIN_SIZE takes that path for permutation
+    # steps too.  Runs that start on basis kets (to_gate, run_basis) have
+    # their opening Rows, first product and the Rows after it written by
+    # the basis fill.
     collapse = _Law("identity_plan_collapse", 1e-10)
     rng = np.random.default_rng([seed, 2])
+    kets = np.random.default_rng([seed, 3])
     for q_big, low, high in ((2, 7, 8), (3, 5, 5)):
         for _ in range(3):
             circ = _random_mixed_circuit(int(rng.integers(low, high + 1)), q_big, rng)
             want = np.eye(q_big**circ.n, dtype=np.complex128)
             for step in circ.steps:
                 want = build_full_matrix(step.lens, step.gate).mat @ want
-            collapse.see(float(np.max(np.abs(circ.to_gate().mat - want))),
-                         f"n={circ.n} q={circ.q} "
-                         f"lenses={[list(st.lens.idx) for st in circ.steps]}")
+            where = f"n={circ.n} q={circ.q} lenses={[list(st.lens.idx) for st in circ.steps]}"
+            collapse.see(float(np.max(np.abs(circ.to_gate().mat - want))), where)
+            for _ in range(3):
+                v = tuple(int(x) for x in kets.integers(0, q_big, circ.n))
+                got = circ.run_basis(v).amps
+                collapse.see(float(np.max(np.abs(got - want[:, tuple_to_index(v, q_big)]))),
+                             f"{where} basis={v}")
 
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,

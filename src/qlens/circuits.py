@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .focus import _collapse, _execute, _permutation_rows, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
-from .state import State, zero_state
+from .state import State, check_allocation, tuple_to_index, zero_state
 
 # run and to_gate execute a circuit fused to clusters of k wires with
 # q**k <= 2**FUSE_WIRES.  perfbench random_layered (30 dense steps, n = 20,
@@ -79,6 +80,17 @@ class Circuit:
                 f"circuit on ({self.n}, q={self.q}) run on ({state.n}, q={state.q})"
             )
         return State(self.n, self.q, self._run_plan(None, state.amps), _trusted=True)
+
+    def run_basis(self, v: Sequence[int]) -> State:
+        """run(ket(v, q)), bit-identical, without building the ket: the
+        executor's first buffer starts as the ket, or, when the plan opens
+        with a product, as the state after it (focus._basis_fill), and
+        buffers are kept as for run.  ``v`` is checked as ket checks it."""
+        if len(v) != self.n:
+            raise ShapeMismatch(f"circuit on {self.n} wires run on a basis tuple of {len(v)}")
+        check_allocation(self.n, self.q)
+        index = tuple_to_index(v, self.q)
+        return State(self.n, self.q, self._run_plan(None, None, index), _trusted=True)
 
     def fused(self, max_wires: int) -> Circuit:
         """An equivalent circuit whose runs of dense steps, and runs of 0/1
@@ -145,8 +157,10 @@ class Circuit:
         stale."""
         return {}
 
-    def _run_plan(self, batch: int | None, amps: np.ndarray | None) -> np.ndarray:
-        """_execute the plan for this batch size, made on first use, keeping
+    def _run_plan(self, batch: int | None, amps: np.ndarray | None,
+                  index: int | None = None) -> np.ndarray:
+        """_execute the plan for this batch size (basis kets for ``amps``
+        None, as _execute reads them), made on first use, keeping
         the scratch buffer it hands back beside it from the plan's second
         execution on, so that each later call allocates only the buffer it
         returns.  With both buffers new on every call, glibc gave them back
@@ -168,7 +182,7 @@ class Circuit:
         first = plan is None
         if first:
             plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), batch)
-        out, spare = _execute(self.n, self.q, plan, amps, scratch)
+        out, spare = _execute(self.n, self.q, plan, amps, scratch, index)
         self._programs[batch] = (plan, None if first else spare)
         return out
 
@@ -184,7 +198,8 @@ class Circuit:
         once on all basis kets at once (guarded; intended for small circuits
         only).
 
-        The identity is written in place into the executor's first buffer;
+        The identity, carried through the plan's first product, is written
+        in place into the executor's first buffer (focus._basis_fill);
         buffers are kept and allocated as for run."""
         check_dense_size(self.n, self.q)
         return Gate(self._run_plan(self.q**self.n, None), self.n, self.n, self.q, _trusted=True)

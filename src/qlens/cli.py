@@ -34,12 +34,13 @@ from .errors import (
     ArityMismatch,
     ParseError,
     QLensError,
+    ShapeMismatch,
     SizeGuardExceeded,
     UnknownExample,
 )
 from .gates import Gate, builtin, builtin_names, check_dense_size, parametric_wires
 from .lens import Lens
-from .state import State, check_text_alphabet, ket, state_from_text, state_to_text
+from .state import State, check_text_alphabet, state_from_text, state_to_text
 
 
 def parse_circuit(path: str | Path) -> circuits.Circuit:
@@ -185,12 +186,14 @@ def circuit_to_spec(circ: circuits.Circuit) -> dict:
     return doc
 
 
-def _load_input(value: str, circ: circuits.Circuit) -> State:
+def _run_input(value: str, circ: circuits.Circuit) -> State:
+    """Run circ on the --input value: a basis string, run without building
+    its ket, or a state file."""
     symbols = set("0123456789"[: circ.q])
     if len(value) == circ.n and set(value) <= symbols:
-        return ket(tuple(int(c) for c in value), circ.q)
+        return circ.run_basis(tuple(int(c) for c in value))
     if os.path.exists(value):
-        return state_from_text(Path(value).read_text(), circ.q, circ.n)
+        return circ.run(state_from_text(Path(value).read_text(), circ.q, circ.n))
     raise ParseError(
         f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
         f"nor a readable state file"
@@ -200,8 +203,7 @@ def _load_input(value: str, circ: circuits.Circuit) -> State:
 def _cmd_run(args: argparse.Namespace) -> int:
     circ = parse_circuit(args.circuit)
     check_text_alphabet(circ.q)  # before the run whose output it could not print
-    state = _load_input(args.input, circ)
-    final = circ.run(state)
+    final = _run_input(args.input, circ)
     text = state_to_text(final, threshold=args.threshold)
     if text:
         print(text)
@@ -238,6 +240,8 @@ def example_circuit(name: str, n: int | None) -> circuits.Circuit:
     if name == "ghz":
         return circuits.ghz_circuit(2 if n is None else n)
     if name == "reverse":
+        if n is not None and n < 1:
+            raise ShapeMismatch(f"reverse needs at least one wire, got {n}")
         return circuits.reversal_circuit(5 if n is None else n)
     raise UnknownExample(f"unknown example {name!r}; choose shor, ghz, or reverse")
 
@@ -296,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("examples", help="emit a named example circuit file")
     ex.add_argument("name", help="shor | ghz | reverse")
-    ex.add_argument("--n", type=int, default=None,
+    ex.add_argument("--n", type=_int_at_least(0), default=None,
                     help="ghz recursion depth / reverse wire count")
     ex.add_argument("--out", default=None, help="write to a file instead of stdout")
     ex.set_defaults(func=_cmd_examples)

@@ -405,16 +405,61 @@ def _take_rows(buf: np.ndarray, op: Take, temp: np.ndarray) -> None:
             np.copyto(dst, tmp)
 
 
+def _inverse(rows: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``rows``: inverse[rows[r]] == r."""
+    inverse = np.empty(len(rows), np.intp)
+    inverse[rows] = np.arange(len(rows))
+    return inverse
+
+
+def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
+                index: int | None) -> int:
+    """Write basis kets into ``buf``, of shape (q**n, q**n) for the
+    identity's columns (``index`` None) or (q**n,) for the one ket at
+    ``index``, carried through the ops that open ``plan`` as far as that
+    costs no pass; return how many ops it covered.
+
+    Column col of the kets has its one 1 at row one[col]: col itself, or,
+    after a leading Rows, the row that the map sends to col.  When the next
+    op is a Gemm, the fill writes its product instead, the way
+    focus_on_basis re-embeds a gate applied locally: with one[col] at
+    (a, j, c) of the op's (A, q**m, C) view, column col holds mat[:, j] at
+    rows (a, :, c), each entry one product term times 1.0, so the result is
+    bit-identical to the Gemm's.  A Rows right after that product is
+    covered too, by sending those rows through the map's inverse.  A second
+    product is not written: its sums may round differently from the
+    matmul's."""
+    cols = buf.size // len(buf)
+    flat = buf.reshape(len(buf), cols)
+    col = np.arange(cols)
+    one = col if index is None else np.array([index])
+    done = 0
+    if plan and isinstance(plan[0], Rows):
+        one, done = _inverse(plan[0].rows), 1
+    buf.fill(0)
+    if done == len(plan) or not isinstance(plan[done], Gemm):
+        flat[one, col] = 1
+        return done
+    op = plan[done]
+    m, inner = len(op.mat), op.C // cols
+    rows = (one[:, None] // (m * inner) * m + np.arange(m)) * inner + one[:, None] % inner
+    done += 1
+    if done < len(plan) and isinstance(plan[done], Rows):
+        rows, done = _inverse(plan[done].rows)[rows], done + 1
+    flat[rows, col[:, None]] = op.mat[:, one // inner % m].T
+    return done
+
+
 def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
-             amps: np.ndarray | None,
-             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+             amps: np.ndarray | None, scratch: np.ndarray | None = None,
+             index: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
     was made for; return the result and the other buffer (None if no op
-    wrote one), the scratch.  ``amps`` None stands for the q**n x q**n
-    identity (batch q**n).
+    wrote one), the scratch.  ``amps`` None stands for basis kets: the
+    q**n x q**n identity (batch q**n), or the ket at ``index`` (batch None).
 
     Each of the two state-sized buffers is allocated when an op first
-    writes it: the identity fill, the copy of the caller's ``amps`` that an
+    writes it: the basis fill, the copy of the caller's ``amps`` that an
     in-place op (or a plan that writes nothing) makes first, and the
     destination of a Gather, Gemm or Rows.  The first two go into the first
     buffer, always fresh; a ``scratch`` of the buffers' shape is the second
@@ -423,17 +468,18 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
     and Rows alternate between the buffers (Rows take mode="clip": with
     "raise" and out=, numpy buffers the copy, 1.3 against 0.44 ms at
     512 x 512); Permute and Take work in place through one temp of
-    _CHUNK_BYTES // 16 amplitudes, or of a Take's q**m rows if more.  A
-    Rows that opens a plan on the identity costs no pass: the fill puts row
-    r's 1 at column rows[r].  The result never shares memory with the
-    scratch handed back, so a caller may keep that for its next call.
-    Before allocating, the working set (the caller's ``amps`` and two
-    buffers, or two buffers for the identity) must fit MAX_STATE_ENTRIES.
+    _CHUNK_BYTES // 16 amplitudes, or of a Take's q**m rows if more.  Basis
+    kets cost no pass for a leading Rows, a first Gemm and a Rows after it:
+    _basis_fill writes the state after them (a Shor-code to_gate runs 2 of
+    its 4 passes, a GHZ-20 ket only its five Takes).  The result never
+    shares memory with the scratch handed back, so a caller may keep that
+    for its next call.  Before allocating, the working set (the caller's
+    ``amps`` and two buffers, or two buffers for basis kets) must fit
+    MAX_STATE_ENTRIES.
     """
-    owned = amps is None
-    check_working_set(2 if owned else 3, q ** (2 * n) if owned else amps.size)
-    folded = owned and bool(plan) and isinstance(plan[0], Rows)
-    shape = (q**n, q**n) if owned else amps.shape
+    basis = amps is None
+    shape = ((q**n, q**n) if index is None else (q**n,)) if basis else amps.shape
+    check_working_set(2 if basis else 3, math.prod(shape))
     bufs = [None, scratch]
 
     def buffer(i: int) -> np.ndarray:
@@ -448,14 +494,10 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
         np.copyto(buffer(0), amps)
         return bufs[0]
 
-    if owned:
-        cur = buffer(0)
-        cur.fill(0)
-        cur[np.arange(q**n), plan[0].rows if folded else np.arange(q**n)] = 1
-    else:
-        cur = amps
+    cur = buffer(0) if basis else amps
+    done = _basis_fill(cur, plan, index) if basis else 0
     temp = None
-    for op in plan[folded:]:
+    for op in plan[done:]:
         if isinstance(op, (Permute, Take)):
             cur = own(cur)
             need = max(_CHUNK_BYTES // 16, len(op.index[0]) if isinstance(op, Take) else 1)

@@ -13,6 +13,7 @@ import pytest
 from qlens import (
     Circuit,
     Gate,
+    IndexOutOfRange,
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -36,7 +37,7 @@ from qlens import (
     swap,
     zero_state,
 )
-from qlens.checks import _random_mixed_circuit
+from qlens.checks import _random_cycle, _random_mixed_circuit
 from qlens.circuits import FUSE_WIRES
 from qlens.focus import Gather, Gemm, _focus_steps, _permutation_rows
 from qlens.oracle import random_unitary
@@ -209,11 +210,13 @@ class TestPlan:
 
     def test_shor_to_gate_moves_rows_twice_after_the_fill(self, comps):
         # On the identity's batch every Gather, Permute and Take only moves
-        # rows; runs of them compose into one Rows, and the first Rows is
-        # written by the identity fill, leaving 4 passes over the matrix.
+        # rows; runs of them compose into one Rows.  The basis fill writes
+        # the first Rows, the first Gemm and the Rows after it, leaving 2
+        # passes over the matrix.
         circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
         plan = cached_plan(circ, 2**9)
         assert [type(op).__name__ for op in plan] == ["Rows", "Gemm", "Rows", "Gemm", "Rows"]
+        assert focus_module._basis_fill(np.empty((2**9, 2**9), complex), plan, None) == 3
 
     def test_run_and_to_gate_plan_once(self, monkeypatch):
         calls = []
@@ -253,18 +256,20 @@ def _scratch_cases(rng) -> dict:
     ops that write a buffer decide which buffers a run allocates and which
     one it returns), under _PERM_MIN_SIZE = 0: for a state or a batch of 3,
     and for the identity's batch of 64, where row moves merge into Rows;
-    then whether a run, and a to_gate, writes both buffers."""
+    then whether a run, and a to_gate, writes both buffers.  The basis fill
+    of a to_gate writes a leading Rows, the first Gemm and a Rows right
+    after it, so of these only the to_gate of "even" writes both."""
     dense = (Step(Lens(6, (0, 1, 2, 3)), random_gate(4, 2, rng)),
              Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
     return {
         "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"],
                  ["Gemm", "Rows", "Gemm", "Rows"], (True, True)),
-        "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"], (False, True)),
+        "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"], (False, False)),
         "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"],
-                                ["Gemm", "Rows"], (False, True)),
+                                ["Gemm", "Rows"], (False, False)),
         "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
                            ["Permute", "Gather", "Gemm", "Gather"],
-                           ["Rows", "Gemm", "Rows"], (True, True)),
+                           ["Rows", "Gemm", "Rows"], (True, False)),
         "identity": (Circuit(6, ()), [], [], (False, False)),
     }
 
@@ -302,6 +307,8 @@ class TestScratchBuffer:
     @pytest.mark.parametrize("case", ["even", "odd", "in_place_after_gemm",
                                       "in_place_first", "identity"])
     def test_results_never_alias_the_kept_buffer(self, case):
+        # run_basis shares run's plan and scratch, and writes the same
+        # buffers: its fill stands in for the copy or the first Gemm.
         rng = np.random.default_rng(SEED)
         circ, kinds, identity_kinds, (keeps, identity_keeps) = _scratch_cases(rng)[case]
         assert [type(op).__name__ for op in cached_plan(circ, None)] == kinds
@@ -316,6 +323,11 @@ class TestScratchBuffer:
         want = reference_run(circ.steps, s)
         assert all(want.max_dev(State(6, 2, out)) <= 1e-12 for out in outs)
         assert all(np.array_equal(out, outs[0]) for out in outs)
+
+        v = (1, 0, 1, 1, 0, 1)
+        outs = self.held_results(lambda: circ.run_basis(v).amps,
+                                 lambda: circ._programs[None][1], keeps=keeps)
+        assert all(np.array_equal(out, circ.run(ket(v)).amps) for out in outs)
 
         batch = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         before = batch.copy()
@@ -340,22 +352,26 @@ class TestScratchBuffer:
     def test_later_runs_allocate_one_state_sized_array(self, monkeypatch, case):
         # A call allocates the buffers its plan writes; the second keeps
         # the one it does not return, so each later call allocates only
-        # the array it returns.  On the identity (to_gate) every plan here
-        # writes both buffers.
-        circ, _, _, (keeps, _) = _scratch_cases(np.random.default_rng(SEED))[case]
+        # the array it returns.  On the identity (to_gate), every plan here
+        # but "even" is written by the basis fill and one buffer.  run_basis
+        # shares run's plan and kept scratch.
+        circ, _, _, (keeps, identity_keeps) = _scratch_cases(np.random.default_rng(SEED))[case]
         counts = []
         real = np.empty
 
         def counted(shape, *a, **k):
-            counts[-1] += tuple(np.atleast_1d(shape)) in {(64,), (64, 64)}
-            return real(shape, *a, **k)
+            out = real(shape, *a, **k)
+            counts[-1] += out.dtype == np.complex128 and out.shape in {(64,), (64, 64)}
+            return out
 
         monkeypatch.setattr(np, "empty", counted)
         s = zero_state(6)
-        for call in [lambda: circ.run(s)] * 5 + [circ.to_gate] * 5:
+        for call in ([lambda: circ.run(s)] * 5 + [lambda: circ.run_basis((0,) * 6)] * 2
+                     + [circ.to_gate] * 5):
             counts.append(0)
             call()
-        assert counts == ([2, 2, 1, 1, 1] if keeps else [1] * 5) + [2, 2, 1, 1, 1]
+        assert counts == (([2, 2, 1, 1, 1] if keeps else [1] * 5) + [1, 1]
+                          + ([2, 2, 1, 1, 1] if identity_keeps else [1] * 5))
 
     def test_plans_with_nothing_to_run_allocate_no_scratch(self, monkeypatch):
         # An empty plan copies the input or writes the identity, and the
@@ -366,8 +382,9 @@ class TestScratchBuffer:
         real = np.empty
 
         def counted(shape, *a, **k):
-            counts[-1] += 1
-            return real(shape, *a, **k)
+            out = real(shape, *a, **k)
+            counts[-1] += out.dtype == np.complex128
+            return out
 
         empty, perm = Circuit(16, ()), reversal_circuit(6)
         assert [type(op).__name__ for op in cached_plan(perm, 64)] == ["Rows"]
@@ -380,6 +397,12 @@ class TestScratchBuffer:
         assert counts == [1, 1, 1]
         assert all(np.array_equal(out, s.amps) and not np.shares_memory(out, s.amps)
                    for out in outs)
+        counts.clear()
+        for _ in range(3):
+            counts.append(0)
+            got = empty.run_basis((1,) * 16).amps
+        assert counts == [1, 1, 1]
+        assert np.array_equal(got, ket((1,) * 16).amps)
         for circ in (Circuit(6, ()), perm):
             counts.clear()
             for _ in range(3):
@@ -424,6 +447,65 @@ class TestScratchBuffer:
             assert len(outs) == 20
             assert all(out.max_dev(want) <= 1e-12 for out in outs)
             assert all(np.array_equal(out.amps, outs[0].amps) for out in outs)
+
+
+def _basis_circuits() -> dict:
+    """Circuits whose run plans open with each op kind the basis fill meets
+    (under _PERM_MIN_SIZE = 0 and _RUN_MIN = 2, unfused): a leading Gemm, a
+    Gemm on a middle block (A > 1), a Gather, a Permute, a Take, and no op
+    at all; then two random circuits, fused."""
+    rng = np.random.default_rng(SEED)
+    cycle = Gate(np.eye(8)[_random_cycle(8, rng)], 3, 3, 2)
+    unfused = {
+        "gemm_leading": Circuit(4, (Step(Lens(4, (0, 1)), random_gate(2, 2, rng)),
+                                    Step(Lens(4, (3,)), random_gate(1, 2, rng)))),
+        "gemm_middle": Circuit(5, (Step(Lens(5, (2, 1)), random_gate(2, 2, rng)),
+                                   Step(Lens(5, (0, 4)), random_gate(2, 2, rng)))),
+        "gather": Circuit(4, (Step(Lens(4, (3, 0)), random_gate(2, 2, rng)),)),
+        "permute": reversal_circuit(5),
+        "take": Circuit(4, (Step(Lens(4, (1, 2, 3)), cycle), Step(Lens(4, (0,)), hadamard()))),
+        "empty": Circuit(3, ()),
+    }
+    return {**{name: circ.fused(0) for name, circ in unfused.items()},
+            "qutrit": _random_mixed_circuit(3, 3, rng),
+            "mixed": _random_mixed_circuit(4, 2, rng)}
+
+
+class TestRunBasis:
+    """Circuit.run_basis(v) is run(ket(v)), bit for bit, with no ket built."""
+
+    FIRST_OPS = {"gemm_leading": "Gemm", "gemm_middle": "Gemm", "gather": "Gather",
+                 "permute": "Permute", "take": "Take", "empty": None}
+
+    @pytest.mark.parametrize("name", sorted(_basis_circuits()))
+    def test_matches_run_on_the_ket_for_every_basis_tuple(self, monkeypatch, name):
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+        monkeypatch.setattr(focus_module, "_RUN_MIN", 2)
+        circ = _basis_circuits()[name]
+        plan = cached_plan(circ, None)
+        if name in self.FIRST_OPS:
+            assert (type(plan[0]).__name__ if plan else None) == self.FIRST_OPS[name]
+        if name == "gemm_middle":
+            assert plan[0].A > 1
+        for v in all_basis_tuples(circ.n, circ.q):
+            got = circ.run_basis(v)
+            want = circ.run(ket(v, circ.q))
+            assert np.array_equal(got.amps, want.amps)
+            assert not got.amps.flags.writeable
+        v = (1,) * circ.n
+        want = dense_product(circ.steps, circ.n, circ.q) @ ket(v, circ.q).amps
+        assert max_entry(circ.run_basis(v).amps, want) <= 1e-10
+
+    def test_checks_the_tuple_as_ket_does(self):
+        circ = ghz_circuit(2)
+        with pytest.raises(ShapeMismatch):
+            circ.run_basis((0, 0))
+        with pytest.raises(IndexOutOfRange):
+            circ.run_basis((0, 2, 0))
+        with pytest.raises(IndexOutOfRange):
+            circ.run_basis((0, -1, 0))
+        with pytest.raises(SizeGuardExceeded):
+            Circuit(31, ()).run_basis((0,) * 31)
 
 
 class TestFusion:
@@ -577,12 +659,16 @@ class TestFusion:
 
     def test_circuit_with_programs_freed_with_its_last_reference(self):
         # No reference cycle: a circuit holding its clusters, plans and
-        # scratch buffers does not wait for the garbage collector.
-        circ = ghz_circuit(6)
-        for _ in range(2):
-            circ.run(ket((0,) * 7))
-            circ.to_gate()
-        assert all(scratch is not None for _, scratch in circ._programs.values())
+        # scratch buffers does not wait for the garbage collector.  GHZ-6's
+        # to_gate plan (Gemm, Gemm, Rows, Gemm, Rows) writes both buffers
+        # after the basis fill; GHZ-7's (Gemm, Rows) is written by the fill
+        # alone and keeps none.
+        for depth, kept in ((6, [True, False]), (5, [True, True])):
+            circ = ghz_circuit(depth)
+            for _ in range(2):
+                circ.run(ket((0,) * (depth + 1)))
+                circ.to_gate()
+            assert [scratch is not None for _, scratch in circ._programs.values()] == kept
         ref = weakref.ref(circ)
         gc.disable()
         try:

@@ -351,30 +351,37 @@ class TestRunCommand:
         assert runs == []
 
     @pytest.mark.parametrize("wires", [17, 20])
-    def test_ghz_run_allocates_two_state_sized_arrays(self, tmp_path, monkeypatch, capsys,
-                                                      wires):
-        # The input ket and the result: the plan's one Gemm writes the
-        # first buffer, and its Takes permute that in place through a
-        # 2**16-amplitude temp, so no second buffer is made.  (At 16 wires
-        # the temp would be as large as the state.)
+    def test_ghz_run_allocates_one_state_sized_array(self, tmp_path, monkeypatch, capsys,
+                                                     wires):
+        # No input ket is built: the basis fill writes the plan's one Gemm
+        # into the first buffer, and the Takes after it permute that in
+        # place through a 2**16-amplitude temp, so no second buffer is
+        # made.  (At 16 wires the temp would be as large as the state.)
         ghz_path = str(tmp_path / "ghz.json")
         assert main(["examples", "ghz", "--n", str(wires - 1), "--out", ghz_path]) == 0
         capsys.readouterr()
         sizes = count_allocations(monkeypatch)
         assert main(["run", ghz_path, "--input", "0" * wires]) == 0
-        assert sizes.count(2**wires) == 2
+        assert sizes.count(2**wires) == 1
         assert capsys.readouterr().out.split() == ["0" * wires, "0.7071067811865476", "0.0",
                                                     "1" * wires, "0.7071067811865476", "0.0"]
 
-    def test_run_past_the_working_set_guard_exit_code(self, circuit_file, monkeypatch, capsys):
-        # A 10-wire ket fits a guard of 2**10 amplitudes; the run's input and
-        # its two buffers (3 * 2**10 amplitudes) do not.
+    def test_run_past_the_working_set_guard_exit_code(self, circuit_file, tmp_path,
+                                                      monkeypatch, capsys):
+        # A basis string starts the run with no input array: its two
+        # buffers (2 * 2**10 amplitudes) must fit.  A state file is the
+        # run's input beside its two buffers (3 * 2**10).
         path = circuit_file({"wires": 10, "ops": [{"gate": "hadamard", "lens": [0]}]})
-        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2**10)
-        assert main(["run", path, "--input", "0" * 10]) == 2
-        assert "guard" in capsys.readouterr().err
-        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 3 * 2**10)
-        assert main(["run", path, "--input", "0" * 10]) == 0
+        state_path = tmp_path / "input.state"
+        state_path.write_text(state_to_text(ket((0,) * 10)))
+        for limit, basis_code, file_code in ((2**10, 2, 2), (2 * 2**10 - 1, 2, 2),
+                                             (2 * 2**10, 0, 2), (3 * 2**10 - 1, 0, 2),
+                                             (3 * 2**10, 0, 0)):
+            monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", limit)
+            assert main(["run", path, "--input", "0" * 10]) == basis_code
+            assert main(["run", path, "--input", str(state_path)]) == file_code
+            out, err = capsys.readouterr()
+            assert ("guard" in err) == (2 in (basis_code, file_code))
 
 
 class TestExamplesCommand:
@@ -410,6 +417,25 @@ class TestExamplesCommand:
             circ = example_circuit(name, n)
             reparsed = parse_circuit(str(out))
             assert circuit_to_spec(reparsed) == circuit_to_spec(circ)
+
+    @pytest.mark.parametrize("name", ["ghz", "reverse", "shor"])
+    @pytest.mark.parametrize("n", [None, 0, 1, 2, 3])
+    def test_written_file_parses_or_exit_2(self, tmp_path, capsys, name, n):
+        # reverse --n 0 used to write "wires": 0, which run then refused.
+        out = tmp_path / f"{name}.json"
+        args = ["examples", name, "--out", str(out)] + ([] if n is None else ["--n", str(n)])
+        code = main(args)
+        assert code in (0, 2)
+        if code == 0:
+            circ = parse_circuit(str(out))
+            assert main(["run", str(out), "--input", "0" * circ.n]) == 0
+        else:
+            assert not out.exists() and "error:" in capsys.readouterr().err
+        assert (code == 2) == (name == "reverse" and n == 0)
+
+    def test_negative_n_is_a_usage_error(self, capsys):
+        assert main(["examples", "ghz", "--n", "-1"]) == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
     def test_unknown_example(self, capsys):
         assert main(["examples", "teleport"]) == 2

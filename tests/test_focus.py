@@ -593,6 +593,96 @@ class TestPlacement:
         assert np.array_equal(swapped.mat, g.mat[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])])
 
 
+def basis_plans(q: int, batch: int | None, rng) -> dict:
+    """Named (plan, ops the basis fill covers), built by hand on n wires
+    (4 for qubits, 3 for qutrits) for amplitudes of shape (q**n, batch) or
+    (q**n,): products with A = 1, with A > 1 and on no wire, with and
+    without a Rows before and after them (Rows only on the identity's
+    batch, as _plan makes them), a second product, and plans that open
+    with no product."""
+    n = 4 if q == 2 else 3
+    cols = batch or 1
+
+    def gemm(a: int, m: int) -> focus_module.Gemm:
+        mat = random_gate(m, q, rng).mat
+        return focus_module.Gemm(mat, q**a, q ** (n - a - m) * cols)
+
+    def rows() -> focus_module.Rows:
+        return focus_module.Rows(rng.permutation(q**n))
+
+    plans = {
+        "empty": ((), 0),
+        "lead": ((gemm(0, 2),), 1),
+        "middle": ((gemm(1, 2),), 1),
+        "no_wire": ((gemm(0, 0), gemm(1, 1)), 1),
+        "two_products": ((gemm(1, 1), gemm(0, 2)), 1),
+    }
+    if batch is None:
+        gather = focus_module.Gather((q,) * n, tuple(rng.permutation(n)))
+        plans["gather_first"] = ((gather, gemm(0, 1)), 0)
+        plans["gather_after"] = ((gemm(1, 2), gather, gemm(2, 1)), 1)
+    else:
+        plans["rows_only"] = ((rows(),), 1)
+        plans["rows_before"] = ((rows(), gemm(0, 2), gemm(1, 1)), 2)
+        plans["rows_after"] = ((gemm(1, 1), rows(), gemm(0, 3)), 2)
+        plans["both"] = ((rows(), gemm(1, 2), rows(), gemm(2, 1), rows()), 3)
+    return plans
+
+
+KET_PLANS = list(basis_plans(2, None, np.random.default_rng(0)))
+IDENTITY_PLANS = list(basis_plans(2, 16, np.random.default_rng(0)))
+
+
+class TestBasisFill:
+    """_execute on basis kets (amps None) writes in its fill what the plan's
+    opening Rows, first Gemm and the Rows after it would make of them: the
+    result is bit-identical to running the plan on the kets' array."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("case", IDENTITY_PLANS)
+    def test_identity_matches_the_explicit_identity(self, q, case):
+        n = 4 if q == 2 else 3
+        plan, covered = basis_plans(q, q**n, np.random.default_rng(SEED))[case]
+        assert focus_module._basis_fill(np.empty((q**n, q**n), complex), plan, None) == covered
+        got, _ = focus_module._execute(n, q, plan, None)
+        want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("case", KET_PLANS)
+    def test_ket_matches_the_explicit_ket(self, q, case):
+        n = 4 if q == 2 else 3
+        plan, covered = basis_plans(q, None, np.random.default_rng(SEED))[case]
+        assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == covered
+        for index in range(q**n):
+            got, _ = focus_module._execute(n, q, plan, None, index=index)
+            want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex)[index])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_planned_steps_match_on_both_starts(self, monkeypatch, q):
+        # Plans as _plan makes them, permutation kernels included: a
+        # reversal (no Gemm; a Permute, or one Rows on the identity) and
+        # random steps on unsorted lenses.
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+        rng = np.random.default_rng(SEED)
+        n = 4 if q == 2 else 3
+        digits_swapped = np.arange(q * q).reshape(q, q).T.reshape(-1)
+        sw = Gate(np.eye(q * q)[digits_swapped], 2, 2, q)
+        reversal = [(Lens(n, (i, n - 1 - i)), sw) for i in range(n // 2)]
+        for steps in (reversal, random_steps(n, q, rng, count=4)):
+            plan = focus_module._plan(n, q, steps, q**n)
+            got, _ = focus_module._execute(n, q, plan, None)
+            want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex))
+            assert np.array_equal(got, want)
+            assert max_entry(got, dense_product(steps, n, q)) <= 1e-10
+            plan = focus_module._plan(n, q, steps, None)
+            for index in range(q**n):
+                got, _ = focus_module._execute(n, q, plan, None, index=index)
+                want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex)[index])
+                assert np.array_equal(got, want)
+
+
 class TestWorkingSetGuard:
     """_focus_steps refuses a working set past MAX_STATE_ENTRIES before it
     allocates: the input and two buffers, or two buffers for a collapse."""
@@ -619,6 +709,16 @@ class TestWorkingSetGuard:
         monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 4**5 - 1)
         with pytest.raises(SizeGuardExceeded):
             focus_as_gate(Lens(5, (1,)), hadamard())
+
+    def test_basis_ket_counts_two_buffers(self, monkeypatch):
+        plan = focus_module._plan(6, 2, [(Lens(6, (0,)), hadamard())], None)
+        want = focus_apply(Lens(6, (0,)), hadamard(), ket((0,) * 6)).amps
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 2**6)
+        got, _ = focus_module._execute(6, 2, plan, None, index=0)
+        assert np.array_equal(got, want)
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 2**6 - 1)
+        with pytest.raises(SizeGuardExceeded):
+            focus_module._execute(6, 2, plan, None, index=0)
 
     def test_refused_before_allocating(self, monkeypatch, no_allocation):
         monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2**10)
