@@ -312,9 +312,32 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                 collapse.see(float(np.max(np.abs(got - want[:, tuple_to_index(v, q_big)]))),
                              f"{where} basis={v}")
 
+    # run_basis carries its ket through every op before the second product.
+    # Past _PERM_MIN_SIZE a reversal plans Permutes and a ladder of adders
+    # |a, b> -> |a, a + b mod q> (CNOTs at q = 2) Takes; random steps follow.
+    basis_run = _Law("basis_run_vs_reference", 1e-12)
+    rng, kets = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
+    for q_big in (2, 3):
+        n = next(k for k in count() if q_big**k >= _PERM_MIN_SIZE)
+        a, b = np.divmod(np.arange(q_big**2), q_big)
+        swap_q = Gate(np.eye(q_big**2)[b * q_big + a], 2, 2, q_big)
+        add_q = Gate(np.eye(q_big**2)[a * q_big + (a + b) % q_big].T, 2, 2, q_big)
+        for prefix in ([circuits.Step(Lens(n, (i, n - 1 - i)), swap_q) for i in range(n // 2)],
+                       [circuits.Step(Lens(n, (i, i + 1)), add_q) for i in range(n - 1)]):
+            circ = circuits.Circuit(n, (*prefix, *_random_mixed_circuit(n, q_big, rng).steps),
+                                    q_big)
+            where = f"n={n} q={q_big} lenses={[list(st.lens.idx) for st in circ.steps]}"
+            for v in (tuple(map(int, kets.integers(0, q_big, n))) for _ in range(3)):
+                got, want = circ.run_basis(v), ket(v, q_big)
+                for step in circ.steps:
+                    want = focus_apply_reference(step.lens, step.gate, want)
+                basis_run.see(got.max_dev(want), f"{where} basis={v}")
+                basis_run.see_bool(np.array_equal(got.amps, circ.run(ket(v, q_big)).amps),
+                                   f"{where} basis={v}: run_basis differs from run")
+
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-             natural, classical, fusion, collapse)]
+             natural, classical, fusion, collapse, basis_run)]
 
 
 def _random_cycle(size: int, rng: np.random.Generator) -> np.ndarray:

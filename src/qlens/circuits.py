@@ -83,9 +83,10 @@ class Circuit:
 
     def run_basis(self, v: Sequence[int]) -> State:
         """run(ket(v, q)), bit-identical, without building the ket: the
-        executor's first buffer starts as the ket, or, when the plan opens
-        with a product, as the state after it (focus._basis_fill), and
-        buffers are kept as for run.  ``v`` is checked as ket checks it."""
+        executor's first buffer starts as the state after every op before
+        the plan's second product, the ket carried through them
+        (focus._basis_fill), and buffers are kept as for run.  ``v`` is
+        checked as ket checks it."""
         if len(v) != self.n:
             raise ShapeMismatch(f"circuit on {self.n} wires run on a basis tuple of {len(v)}")
         check_allocation(self.n, self.q)

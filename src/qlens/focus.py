@@ -405,48 +405,60 @@ def _take_rows(buf: np.ndarray, op: Take, temp: np.ndarray) -> None:
             np.copyto(dst, tmp)
 
 
-def _inverse(rows: np.ndarray) -> np.ndarray:
-    """The inverse of the permutation ``rows``: inverse[rows[r]] == r."""
-    inverse = np.empty(len(rows), np.intp)
-    inverse[rows] = np.arange(len(rows))
-    return inverse
+def _moved(op: Gather | Permute | Take | Rows, flat: np.ndarray, size: int) -> np.ndarray:
+    """Where ``op``, which only moves amplitudes, puts those at the flat
+    indices ``flat`` of a buffer of ``size`` amplitudes: a Gather transposes
+    their digits, a Permute moves the lens digits that lie on its cycles,
+    and a Take or Rows sends their rows through the inverse of its row map
+    (argsort, the map being a permutation)."""
+    if isinstance(op, Gather):
+        digits = np.unravel_index(flat, op.shape)
+        return np.ravel_multi_index([digits[a] for a in op.axes], op.shape)
+    if isinstance(op, Permute):
+        digits = np.unravel_index(flat, op.shape)
+        axes = [a for a, at in enumerate(next(iter(op.index.values()))) if isinstance(at, int)]
+        lens = [op.shape[a] for a in axes]
+        to = np.arange(math.prod(lens))
+        for cycle in op.cycles:
+            to[list(cycle[1:] + cycle[:1])] = cycle
+        new = np.unravel_index(to[np.ravel_multi_index([digits[a] for a in axes], lens)], lens)
+        digits = [new[axes.index(a)] if a in axes else d for a, d in enumerate(digits)]
+        return np.ravel_multi_index(digits, op.shape)
+    rows = op.rows if isinstance(op, Rows) else op.index[0] // len(op.index)
+    run = size // len(rows) // (1 if isinstance(op, Rows) else op.A)
+    row = flat // run % len(rows)
+    return flat + (np.argsort(rows)[row] - row) * run
 
 
 def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
                 index: int | None) -> int:
     """Write basis kets into ``buf``, of shape (q**n, q**n) for the
     identity's columns (``index`` None) or (q**n,) for the one ket at
-    ``index``, carried through the ops that open ``plan`` as far as that
-    costs no pass; return how many ops it covered.
+    ``index``, carried through the ops that open ``plan`` up to its second
+    product; return how many ops it covered.
 
-    Column col of the kets has its one 1 at row one[col]: col itself, or,
-    after a leading Rows, the row that the map sends to col.  When the next
-    op is a Gemm, the fill writes its product instead, the way
-    focus_on_basis re-embeds a gate applied locally: with one[col] at
-    (a, j, c) of the op's (A, q**m, C) view, column col holds mat[:, j] at
-    rows (a, :, c), each entry one product term times 1.0, so the result is
-    bit-identical to the Gemm's.  A Rows right after that product is
-    covered too, by sending those rows through the map's inverse.  A second
-    product is not written: its sums may round differently from the
-    matmul's."""
+    The fill follows the flat indices of the kets' nonzero amplitudes
+    through each op that only moves amplitudes (_moved).  The first Gemm
+    expands them as focus_on_basis re-embeds a gate applied locally: an
+    amplitude at (a, j, c) of its (A, q**m, C) view becomes mat[:, j] at
+    (a, :, c), each entry one product term times 1.0, so the result is
+    bit-identical to running those ops.  A second product is not written:
+    its sums may round differently from the matmul's."""
     cols = buf.size // len(buf)
-    flat = buf.reshape(len(buf), cols)
-    col = np.arange(cols)
-    one = col if index is None else np.array([index])
-    done = 0
-    if plan and isinstance(plan[0], Rows):
-        one, done = _inverse(plan[0].rows), 1
+    flat = np.arange(cols) * (cols + 1) if index is None else np.array([index])
+    vals, done = None, 0
+    for op in plan:
+        if not isinstance(op, Gemm):
+            flat = _moved(op, flat, buf.size)
+        elif vals is None:
+            j = flat // op.C % len(op.mat)
+            flat = (flat - j * op.C)[:, None] + np.arange(len(op.mat)) * op.C
+            vals = op.mat[:, j].T
+        else:
+            break
+        done += 1
     buf.fill(0)
-    if done == len(plan) or not isinstance(plan[done], Gemm):
-        flat[one, col] = 1
-        return done
-    op = plan[done]
-    m, inner = len(op.mat), op.C // cols
-    rows = (one[:, None] // (m * inner) * m + np.arange(m)) * inner + one[:, None] % inner
-    done += 1
-    if done < len(plan) and isinstance(plan[done], Rows):
-        rows, done = _inverse(plan[done].rows)[rows], done + 1
-    flat[rows, col[:, None]] = op.mat[:, one // inner % m].T
+    buf.reshape(-1)[flat] = 1 if vals is None else vals
     return done
 
 
@@ -469,9 +481,9 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
     "raise" and out=, numpy buffers the copy, 1.3 against 0.44 ms at
     512 x 512); Permute and Take work in place through one temp of
     _CHUNK_BYTES // 16 amplitudes, or of a Take's q**m rows if more.  Basis
-    kets cost no pass for a leading Rows, a first Gemm and a Rows after it:
+    kets cost no pass for the ops before the plan's second Gemm:
     _basis_fill writes the state after them (a Shor-code to_gate runs 2 of
-    its 4 passes, a GHZ-20 ket only its five Takes).  The result never
+    its 4 passes, a GHZ-20 ket or a reversal none).  The result never
     shares memory with the scratch handed back, so a caller may keep that
     for its next call.  Before allocating, the working set (the caller's
     ``amps`` and two buffers, or two buffers for basis kets) must fit

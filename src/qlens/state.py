@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError, ShapeMismatch, SizeGuardExceeded
+from .lens import _integer
 
 # Desk-scale ceiling for dense state allocation (number of amplitudes).
 MAX_STATE_ENTRIES = 2**30
@@ -59,9 +60,10 @@ def check_working_set(arrays: int, entries: int) -> None:
 
 
 def tuple_to_index(v: Sequence[int], q: int) -> int:
-    """Flat position of a basis tuple under the big-endian encoding."""
+    """Flat position of a basis tuple of integer symbols (not bools), big-endian."""
     pos = 0
     for x in v:
+        x = _integer(x, "symbol")
         if not 0 <= x < q:
             raise IndexOutOfRange(f"symbol {x} outside [0, {q})")
         pos = pos * q + x

@@ -114,6 +114,21 @@ def fill_skips_rows_after_product(monkeypatch):
     monkeypatch.setattr(focus_module, "_basis_fill", fill)
 
 
+def take_carried_forward(monkeypatch):
+    # The basis fill carries the kets through a Take's row map instead of
+    # through its inverse.
+    real = focus_module._moved
+
+    def moved(op, flat, size):
+        if isinstance(op, focus_module.Take):
+            n_c = len(op.index)
+            rows = np.argsort(op.index[0] // n_c)
+            op = op._replace(index=rows * n_c + np.arange(n_c)[:, None])
+        return real(op, flat, size)
+
+    monkeypatch.setattr(focus_module, "_moved", moved)
+
+
 def last_step_dropped(monkeypatch):
     real = Circuit.run
     monkeypatch.setattr(Circuit, "run", lambda self, state: real(
@@ -133,6 +148,7 @@ FAULTS = {
     collapse_relabels_sorted: ("focus-laws", "fusion_equivalence"),
     rows_compose_reversed: ("focus-laws", "identity_plan_collapse"),
     fill_skips_rows_after_product: ("focus-laws", "identity_plan_collapse"),
+    take_carried_forward: ("focus-laws", "basis_run_vs_reference"),
     last_step_dropped: ("examples", "ghz_preparation"),
 }
 

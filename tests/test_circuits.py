@@ -507,6 +507,11 @@ class TestRunBasis:
         with pytest.raises(SizeGuardExceeded):
             Circuit(31, ()).run_basis((0,) * 31)
 
+    @pytest.mark.parametrize("symbol", [0.5, 1.0, "1", True])
+    def test_symbol_that_is_no_integer_rejected(self, symbol):
+        with pytest.raises(IndexOutOfRange):
+            ghz_circuit(2).run_basis((0, symbol, 0))
+
 
 class TestFusion:
     """Circuit.fused clusters dense steps; run and to_gate execute the fusion."""

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlens import (
+    Circuit,
     CurriedState,
     Gate,
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
     State,
+    Step,
     all_basis_tuples,
     build_full_matrix,
     cnot,
@@ -598,10 +600,12 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     (4 for qubits, 3 for qutrits) for amplitudes of shape (q**n, batch) or
     (q**n,): products with A = 1, with A > 1 and on no wire, with and
     without a Rows before and after them (Rows only on the identity's
-    batch, as _plan makes them), a second product, and plans that open
-    with no product."""
+    batch, as _plan makes them), a second product, plans that open with no
+    product, and Take, Permute and Gather ops before and after a product,
+    on both batches."""
     n = 4 if q == 2 else 3
     cols = batch or 1
+    shape = (q,) * n + (() if batch is None else (batch,))
 
     def gemm(a: int, m: int) -> focus_module.Gemm:
         mat = random_gate(m, q, rng).mat
@@ -619,13 +623,33 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     }
     if batch is None:
         gather = focus_module.Gather((q,) * n, tuple(rng.permutation(n)))
-        plans["gather_first"] = ((gather, gemm(0, 1)), 0)
-        plans["gather_after"] = ((gemm(1, 2), gather, gemm(2, 1)), 1)
+        plans["gather_first"] = ((gather, gemm(0, 1)), 2)
+        plans["gather_after"] = ((gemm(1, 2), gather, gemm(2, 1)), 2)
     else:
         plans["rows_only"] = ((rows(),), 1)
         plans["rows_before"] = ((rows(), gemm(0, 2), gemm(1, 1)), 2)
         plans["rows_after"] = ((gemm(1, 1), rows(), gemm(0, 3)), 2)
         plans["both"] = ((rows(), gemm(1, 2), rows(), gemm(2, 1), rows()), 3)
+
+    # Row maps that are one cycle through every row, so that none is its
+    # own inverse.
+    def take(a: int, m: int) -> focus_module.Take:
+        return focus_module._take_op(q**a, _random_cycle(q**m, rng), q ** (n - a - m) * cols)
+
+    def permute(axes: list[int]) -> focus_module.Permute:
+        cycles = focus_module._cycles(_random_cycle(q ** len(axes), rng))
+        return focus_module._permute_op(shape, axes, cycles, q)
+
+    def gather_all() -> focus_module.Gather:
+        return focus_module.Gather(shape, tuple(rng.permutation(n)) + tuple(range(n, len(shape))))
+
+    plans["take_before"] = ((take(1, 2), gemm(0, 2), gemm(1, 1)), 2)
+    plans["take_after"] = ((gemm(1, 1), take(0, 2), take(n - 1, 1), gemm(0, 2)), 3)
+    plans["permute_before"] = ((permute([0, n - 1]), gemm(1, 1), gemm(0, 2)), 2)
+    plans["permute_after"] = ((gemm(0, 2), permute([1, 2]), permute([0, n - 1]), gemm(1, 1)), 3)
+    plans["gather_between"] = ((permute([0, n - 1]), take(0, 2), gather_all(), gemm(1, 2),
+                                take(1, 2), permute([0, 1]), gemm(0, 1), take(0, 1)), 6)
+    plans["moves_only"] = ((take(0, n), permute([1, n - 1]), gather_all()), 3)
     return plans
 
 
@@ -633,9 +657,19 @@ KET_PLANS = list(basis_plans(2, None, np.random.default_rng(0)))
 IDENTITY_PLANS = list(basis_plans(2, 16, np.random.default_rng(0)))
 
 
+def ghz_steps(n: int, q: int, rng) -> list:
+    """A GHZ preparation on n wires over q symbols, fused as Circuit.run
+    fuses it: a random gate on wire 0, then a ladder of the adders
+    |a, b> -> |a, a + b mod q> on wires (k, k + 1)."""
+    add = np.eye(q * q)[[a * q + (a + b) % q for a in range(q) for b in range(q)]].T
+    steps = [Step(Lens(n, (0,)), random_gate(1, q, rng))]
+    steps += [Step(Lens(n, (k, k + 1)), Gate(add, 2, 2, q)) for k in range(n - 1)]
+    return [(s.lens, s.gate) for s in Circuit(n, tuple(steps), q).fused(5).steps]
+
+
 class TestBasisFill:
-    """_execute on basis kets (amps None) writes in its fill what the plan's
-    opening Rows, first Gemm and the Rows after it would make of them: the
+    """_execute on basis kets (amps None) writes in its fill what the ops
+    that open the plan, up to its second Gemm, would make of them: the
     result is bit-identical to running the plan on the kets' array."""
 
     @pytest.mark.parametrize("q", [2, 3])
@@ -662,25 +696,47 @@ class TestBasisFill:
     @pytest.mark.parametrize("q", [2, 3])
     def test_planned_steps_match_on_both_starts(self, monkeypatch, q):
         # Plans as _plan makes them, permutation kernels included: a
-        # reversal (no Gemm; a Permute, or one Rows on the identity) and
-        # random steps on unsorted lenses.
+        # reversal (no Gemm; Permutes, or one Rows on the identity), a GHZ
+        # preparation (a Gemm, then a Take) and random steps on unsorted
+        # lenses.  A ket runs the first two entirely in the fill.
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         rng = np.random.default_rng(SEED)
         n = 4 if q == 2 else 3
         digits_swapped = np.arange(q * q).reshape(q, q).T.reshape(-1)
         sw = Gate(np.eye(q * q)[digits_swapped], 2, 2, q)
-        reversal = [(Lens(n, (i, n - 1 - i)), sw) for i in range(n // 2)]
-        for steps in (reversal, random_steps(n, q, rng, count=4)):
+        cases = {"reversal": [(Lens(n, (i, n - 1 - i)), sw) for i in range(n // 2)],
+                 "ghz": ghz_steps(n, q, rng),
+                 "random": random_steps(n, q, rng, count=4)}
+        for name, steps in cases.items():
             plan = focus_module._plan(n, q, steps, q**n)
             got, _ = focus_module._execute(n, q, plan, None)
             want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex))
             assert np.array_equal(got, want)
             assert max_entry(got, dense_product(steps, n, q)) <= 1e-10
             plan = focus_module._plan(n, q, steps, None)
+            if name != "random":
+                kinds = {type(op).__name__ for op in plan}
+                assert kinds == ({"Permute"} if name == "reversal" else {"Gemm", "Take"})
+                assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == len(plan)
             for index in range(q**n):
                 got, _ = focus_module._execute(n, q, plan, None, index=index)
                 want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex)[index])
                 assert np.array_equal(got, want)
+
+    def test_ghz_16_runs_in_the_fill(self):
+        # At 2**16 amplitudes the planner takes its permutation kernels
+        # unforced: GHZ-16 is one product and then Takes, all in the fill.
+        steps = [(s.lens, s.gate) for s in ghz_circuit(15).fused(5).steps]
+        plan = focus_module._plan(16, 2, steps, None)
+        assert [type(op).__name__ for op in plan] == ["Gemm"] + ["Take"] * (len(plan) - 1)
+        assert len(plan) > 2
+        assert focus_module._basis_fill(np.empty(2**16, complex), plan, 0) == len(plan)
+        for index in (0, 2**16 - 1, 0b1011001110001011):
+            amps = np.zeros(2**16, complex)
+            amps[index] = 1
+            got, _ = focus_module._execute(16, 2, plan, None, index=index)
+            want, _ = focus_module._execute(16, 2, plan, amps)
+            assert np.array_equal(got, want)
 
 
 class TestWorkingSetGuard:

@@ -42,6 +42,21 @@ class TestEncoding:
         with pytest.raises(IndexOutOfRange):
             ket((2,), q=2)
 
+    # A symbol is an integer other than a bool, as a lens wire is: a float,
+    # a string or a bool is refused, not truncated, indexed or read as 1.
+    @pytest.mark.parametrize("symbol", [0.5, 1.0, "1", True, False, None])
+    def test_symbol_that_is_no_integer_rejected(self, symbol):
+        with pytest.raises(IndexOutOfRange):
+            ket((symbol, 0))
+        with pytest.raises(IndexOutOfRange):
+            ket((0, 1)).amplitude((0, symbol))
+        with pytest.raises(IndexOutOfRange):
+            tuple_to_index((symbol,), 3)
+
+    def test_integer_like_symbols_accepted(self):
+        assert ket((np.int64(1), np.uint8(0))).amps[2] == 1.0
+        assert ket((0, 1)).amplitude((np.int32(0), 1)) == 1.0
+
     @pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (4, 2)])
     def test_lexicographic_order(self, n, q):
         positions = [tuple_to_index(v, q) for v in all_basis_tuples(n, q)]
