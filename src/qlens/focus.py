@@ -203,35 +203,25 @@ class Gemm(NamedTuple):
 class Permute(NamedTuple):
     """Rotate each cycle c of row blocks in place, new row block c[k] being
     old row block c[k + 1]; row block i is the state indexed by
-    ``index[i]``, the lens axes fixed to the digits of i.  Blocks move chunk
-    by chunk over their leading axes, of sizes ``chunks``; one chunk has
-    shape ``tail``."""
+    ``index[i]``, the sorted lens ``axes`` fixed to the digits of i.  Blocks
+    move chunk by chunk over their leading axes, of sizes ``chunks``; one
+    chunk has shape ``tail``."""
 
     shape: tuple[int, ...]
+    axes: tuple[int, ...]
     index: dict[int, tuple]
     cycles: tuple[tuple[int, ...], ...]
     chunks: tuple[int, ...]
     tail: tuple[int, ...]
 
 
-class Take(NamedTuple):
-    """Row r of the state viewed as (A, q**m, C) becomes its row rows[r], in
-    place, for a row map ``rows`` in axis order.  C splits into len(index)
-    interleaved chunks, row r of chunk c at row r * len(index) + c, and
-    index[c] = rows * len(index) + c, so np.take reads a contiguous array
-    (it would copy a strided one first); ``a_step`` slabs of A go in one
-    chunk."""
-
-    A: int
-    a_step: int
-    index: np.ndarray
-
-
 class Rows(NamedTuple):
-    """Copy row rows[r] of the state, viewed as (q**n, batch), to row r of
-    the other buffer: the composed row moves of an identity's batch."""
+    """Copy row rows[r] of the state, viewed as (A, q**m, C), to row r of
+    the other buffer, for a row map ``rows`` in axis order."""
 
     rows: np.ndarray
+    A: int
+    C: int
 
 
 def _permute_op(shape: tuple[int, ...], axes: list[int], cycles: list[list[int]],
@@ -250,17 +240,8 @@ def _permute_op(shape: tuple[int, ...], axes: list[int], cycles: list[list[int]]
     while lead < len(inner) and 16 * math.prod(shape) > _CHUNK_BYTES * nchunks:
         nchunks *= inner[lead]
         lead += 1
-    return Permute(shape, index, tuple(map(tuple, cycles)), tuple(inner[:lead]),
+    return Permute(shape, tuple(axes), index, tuple(map(tuple, cycles)), tuple(inner[:lead]),
                    tuple(inner[lead:]))
-
-
-def _take_op(A: int, rows: np.ndarray, C: int) -> Take:
-    """Take for ``rows`` (in axis order) on the (A, q**m, C) view, each chunk
-    of at most _CHUNK_BYTES: along A, and along C as well when one
-    (q**m, C) slab is larger than a chunk."""
-    slab = 16 * len(rows) * C
-    n_c = next((d for d in range(1, C + 1) if C % d == 0 and slab // d <= _CHUNK_BYTES), C)
-    return Take(A, max(_CHUNK_BYTES // slab, 1), rows * n_c + np.arange(n_c)[:, None])
 
 
 def _layout(order: list[int], front: list[int]) -> list[int]:
@@ -279,7 +260,7 @@ def _layout(order: list[int], front: list[int]) -> list[int]:
 
 
 def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
-          batch: int | None) -> tuple[Gather | Gemm | Permute | Take | Rows, ...]:
+          batch: int | None) -> tuple[Gather | Gemm | Permute | Rows, ...]:
     """Ops that apply (lens, gate) steps, left to right, to amplitudes of
     shape (q**n,) (``batch`` None) or (q**n, batch), unchecked.
 
@@ -288,14 +269,14 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     of amplitudes behind them.  An identity step gives no op.
 
     A step whose gate is a 0/1 permutation matrix only relabels basis
-    tuples (detected from _PERM_MIN_SIZE amplitudes up): it moves row blocks
-    in place and leaves ``order`` alone.  Rotating the non-trivial cycles of
-    row blocks (Permute), each block a strided view wherever the lens wires
-    sit, copies one block per moved row plus one per cycle, while one
-    np.take pass (Take) writes every row into a cache-sized chunk and copies
-    it back.  So the step takes np.take when its lens wires sit on adjacent
-    axes and the cycles would copy at least q**m blocks (a fused GHZ
-    cluster: 30 of 32 rows moved, in 6 cycles), and rotates the cycles
+    tuples (detected from _PERM_MIN_SIZE amplitudes up), and leaves
+    ``order`` alone.  Rotating the non-trivial cycles of row blocks in place
+    (Permute), each block a strided view wherever the lens wires sit, copies
+    one block per moved row plus one per cycle, while one np.take pass over
+    the (A, q**m, C) view (Rows, its row map of q**m entries) copies every
+    row into the other buffer.  So the step is a Rows when its lens wires
+    sit on adjacent axes and the cycles would copy at least q**m blocks (a
+    fused GHZ cluster: 30 of 32 rows moved, in 6 cycles), and a Permute
     otherwise (a lone CNOT, swap or Toffoli: 3 blocks of 4 or 8).
 
     A dense step whose lens wires already sit on adjacent axes, in any
@@ -313,17 +294,18 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     The wire order is restored by one Gather at the end.
 
     On the identity's batch (``batch`` == q**n: to_gate, _collapse) each
-    Gather, Permute or Take only moves rows, so it is planned as its row
-    map: the basis-index table transposed by the Gather's axes, or with the
-    step applied (curried along its lens axes, rows taken, uncurried).  A
-    map r2 after r1 composes to r1[r2]; runs merge into one Rows, dropped
-    if it is the identity: that turns the 9 ops of the Shor-code collapse
-    into 5, of which 4 pass over the matrix.
+    Gather or permutation step only moves rows, so it is planned as its row
+    map on the (1, q**n, batch) view: the basis-index table transposed by
+    the Gather's axes, or with the step applied (curried along its lens
+    axes, rows taken, uncurried).  A map r2 after r1 composes to r1[r2];
+    runs merge into one Rows, dropped if it is the identity: that turns the
+    9 ops of the Shor-code collapse into 5, of which 4 pass over the
+    matrix.
     """
     shape, steps = (q,) * n + (() if batch is None else (batch,)), list(steps)
     size, trail = math.prod(shape), tuple(range(n, len(shape)))
     order: list[int] = list(range(n))
-    plan: list[Gather | Gemm | Permute | Take | Rows] = []
+    plan: list[Gather | Gemm | Permute | Rows] = []
     table = np.arange(q**n).reshape((q,) * n) if batch == q**n else None
 
     def place(wires: list[int]) -> tuple[list[int], int, int, bool]:
@@ -335,7 +317,7 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
         if plan and isinstance(plan[-1], Rows):
             rows = plan.pop().rows[rows]
         if (rows != table.reshape(-1)).any():
-            plan.append(Rows(rows))
+            plan.append(Rows(rows, 1, batch))
 
     def gather(axes: tuple[int, ...]) -> None:
         if table is None:
@@ -355,7 +337,7 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
                 continue
             cycles = _cycles(rows)
             if adjacent and sum(map(len, cycles)) + len(cycles) >= len(rows):
-                plan.append(_take_op(A, rows, C))
+                plan.append(Rows(rows, A, C))
             elif cycles:
                 plan.append(_permute_op(shape, sorted(axes), cycles, q))
             continue
@@ -392,45 +374,29 @@ def _permute_blocks(buf: np.ndarray, op: Permute, temp: np.ndarray) -> None:
             np.copyto(blocks[cycle[-1]][at], tmp)
 
 
-def _take_rows(buf: np.ndarray, op: Take, temp: np.ndarray) -> None:
-    """Run a Take on buf, each chunk taken into ``temp`` and copied back."""
-    n_c = len(op.index)
-    view = buf.reshape(op.A, len(op.index[0]) * n_c, -1)
-    for a in range(0, op.A, op.a_step):
-        part = view[a:a + op.a_step]
-        for c, index in enumerate(op.index):
-            dst = part[:, c::n_c]
-            tmp = temp[:dst.size].reshape(dst.shape)
-            np.take(part, index, axis=1, out=tmp, mode="clip")
-            np.copyto(dst, tmp)
-
-
-def _moved(op: Gather | Permute | Take | Rows, flat: np.ndarray, size: int) -> np.ndarray:
+def _moved(op: Gather | Permute | Rows, flat: np.ndarray) -> np.ndarray:
     """Where ``op``, which only moves amplitudes, puts those at the flat
-    indices ``flat`` of a buffer of ``size`` amplitudes: a Gather transposes
-    their digits, a Permute moves the lens digits that lie on its cycles,
-    and a Take or Rows sends their rows through the inverse of its row map
-    (argsort, the map being a permutation)."""
+    indices ``flat``: a Gather transposes their digits, a Permute moves the
+    digits on its lens ``axes`` that lie on its cycles, and a Rows sends the
+    row of each, on its (A, q**m, C) view, through the inverse of its row
+    map (argsort, the map being a permutation)."""
     if isinstance(op, Gather):
         digits = np.unravel_index(flat, op.shape)
         return np.ravel_multi_index([digits[a] for a in op.axes], op.shape)
     if isinstance(op, Permute):
         digits = np.unravel_index(flat, op.shape)
-        axes = [a for a, at in enumerate(next(iter(op.index.values()))) if isinstance(at, int)]
-        lens = [op.shape[a] for a in axes]
+        lens = [op.shape[a] for a in op.axes]
         to = np.arange(math.prod(lens))
         for cycle in op.cycles:
             to[list(cycle[1:] + cycle[:1])] = cycle
-        new = np.unravel_index(to[np.ravel_multi_index([digits[a] for a in axes], lens)], lens)
-        digits = [new[axes.index(a)] if a in axes else d for a, d in enumerate(digits)]
+        new = np.unravel_index(to[np.ravel_multi_index([digits[a] for a in op.axes], lens)], lens)
+        digits = [new[op.axes.index(a)] if a in op.axes else d for a, d in enumerate(digits)]
         return np.ravel_multi_index(digits, op.shape)
-    rows = op.rows if isinstance(op, Rows) else op.index[0] // len(op.index)
-    run = size // len(rows) // (1 if isinstance(op, Rows) else op.A)
-    row = flat // run % len(rows)
-    return flat + (np.argsort(rows)[row] - row) * run
+    row = flat // op.C % len(op.rows)
+    return flat + (np.argsort(op.rows)[row] - row) * op.C
 
 
-def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
+def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Rows, ...],
                 index: int | None) -> int:
     """Write basis kets into ``buf``, of shape (q**n, q**n) for the
     identity's columns (``index`` None) or (q**n,) for the one ket at
@@ -438,18 +404,18 @@ def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Take | Ro
     product; return how many ops it covered.
 
     The fill follows the flat indices of the kets' nonzero amplitudes
-    through each op that only moves amplitudes (_moved).  The first Gemm
-    expands them as focus_on_basis re-embeds a gate applied locally: an
-    amplitude at (a, j, c) of its (A, q**m, C) view becomes mat[:, j] at
-    (a, :, c), each entry one product term times 1.0, so the result is
-    bit-identical to running those ops.  A second product is not written:
+    through each Gather, Permute or Rows, the ops that only move amplitudes
+    (_moved).  The first Gemm expands them as focus_on_basis re-embeds a
+    gate applied locally: an amplitude at (a, j, c) of its (A, q**m, C) view
+    becomes mat[:, j] at (a, :, c), each entry one product term times 1.0,
+    so the result is bit-identical to running those ops.  A second product is not written:
     its sums may round differently from the matmul's."""
     cols = buf.size // len(buf)
     flat = np.arange(cols) * (cols + 1) if index is None else np.array([index])
     vals, done = None, 0
     for op in plan:
         if not isinstance(op, Gemm):
-            flat = _moved(op, flat, buf.size)
+            flat = _moved(op, flat)
         elif vals is None:
             j = flat // op.C % len(op.mat)
             flat = (flat - j * op.C)[:, None] + np.arange(len(op.mat)) * op.C
@@ -462,7 +428,7 @@ def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Take | Ro
     return done
 
 
-def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, ...],
+def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Rows, ...],
              amps: np.ndarray | None, scratch: np.ndarray | None = None,
              index: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
@@ -471,23 +437,23 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
     q**n x q**n identity (batch q**n), or the ket at ``index`` (batch None).
 
     Each of the two state-sized buffers is allocated when an op first
-    writes it: the basis fill, the copy of the caller's ``amps`` that an
-    in-place op (or a plan that writes nothing) makes first, and the
+    writes it: the basis fill, the copy of the caller's ``amps`` that a
+    Permute (or a plan that writes nothing) makes first, and the
     destination of a Gather, Gemm or Rows.  The first two go into the first
     buffer, always fresh; a ``scratch`` of the buffers' shape is the second
     (with the scratch first, a Shor-code to_gate result landed in it, and
     collapse_small ops took 8-20% longer, 2-vCPU Xeon).  Gathers, products
-    and Rows alternate between the buffers (Rows take mode="clip": with
-    "raise" and out=, numpy buffers the copy, 1.3 against 0.44 ms at
-    512 x 512); Permute and Take work in place through one temp of
-    _CHUNK_BYTES // 16 amplitudes, or of a Take's q**m rows if more.  Basis
-    kets cost no pass for the ops before the plan's second Gemm:
-    _basis_fill writes the state after them (a Shor-code to_gate runs 2 of
-    its 4 passes, a GHZ-20 ket or a reversal none).  The result never
-    shares memory with the scratch handed back, so a caller may keep that
-    for its next call.  Before allocating, the working set (the caller's
-    ``amps`` and two buffers, or two buffers for basis kets) must fit
-    MAX_STATE_ENTRIES.
+    and Rows alternate between the buffers, reading the caller's array
+    where one opens the plan (Rows take mode="clip": with "raise" and out=,
+    numpy buffers the copy, 1.3 against 0.44 ms at 512 x 512); a Permute,
+    the one op in place, works through a temp of _CHUNK_BYTES // 16
+    amplitudes.  Basis kets cost no pass for the ops before the plan's
+    second Gemm: _basis_fill writes the state after them (a Shor-code
+    to_gate runs 2 of its 4 passes, a GHZ-20 ket or a reversal none).  The
+    result never shares memory with the scratch handed back, so a caller
+    may keep that for its next call.  Before allocating, the working set
+    (the caller's ``amps`` and two buffers, or two buffers for basis kets)
+    must fit MAX_STATE_ENTRIES.
     """
     basis = amps is None
     shape = ((q**n, q**n) if index is None else (q**n,)) if basis else amps.shape
@@ -510,12 +476,11 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
     done = _basis_fill(cur, plan, index) if basis else 0
     temp = None
     for op in plan[done:]:
-        if isinstance(op, (Permute, Take)):
+        if isinstance(op, Permute):
             cur = own(cur)
-            need = max(_CHUNK_BYTES // 16, len(op.index[0]) if isinstance(op, Take) else 1)
-            if temp is None or temp.size < need:
-                temp = np.empty(need, np.complex128)
-            (_take_rows if isinstance(op, Take) else _permute_blocks)(cur, op, temp)
+            if temp is None:
+                temp = np.empty(_CHUNK_BYTES // 16, np.complex128)
+            _permute_blocks(cur, op, temp)
             continue
         spare = buffer(1 if cur is bufs[0] else 0)
         if isinstance(op, Gather):
@@ -524,7 +489,8 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Take | Rows, 
             view = (op.A, len(op.mat), op.C)
             np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
         else:
-            np.take(cur, op.rows, axis=0, out=spare, mode="clip")
+            view = (op.A, len(op.rows), op.C)
+            np.take(cur.reshape(view), op.rows, axis=1, out=spare.reshape(view), mode="clip")
         cur = spare
     cur = own(cur)
     return cur, bufs[1] if cur is bufs[0] else bufs[0]

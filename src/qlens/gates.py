@@ -65,11 +65,14 @@ class Gate:
         *,
         _trusted: bool = False,
     ):
-        # _trusted: the caller hands over a fresh array nobody else holds, so
-        # it is kept as is instead of copied.
+        # _trusted: the caller hands over a fresh array of finite entries
+        # nobody else holds, so it is kept as is, neither checked nor copied.
         if q < 1:
             raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
-        m = np.ascontiguousarray(mat, dtype=np.complex128)
+        try:
+            m = np.ascontiguousarray(mat, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise ShapeMismatch("gate matrix must be a rectangular array of numbers") from None
         if m.ndim != 2:
             raise ShapeMismatch(f"gate matrix must be 2-D, got shape {m.shape}")
         rows, cols = m.shape
@@ -80,6 +83,8 @@ class Gate:
                 f"gate matrix {rows}x{cols} does not match q={q} with "
                 f"{out} output / {inn} input wires"
             )
+        if not _trusted and not np.isfinite(m.view(np.float64)).all():
+            raise ShapeMismatch("gate entries must be finite")
         if m is mat and not _trusted:
             m = m.copy()
         m.setflags(write=False)

@@ -92,8 +92,8 @@ def rows_compose_reversed(monkeypatch):
             return np.asarray(rows)[self.view(np.ndarray)]
 
     class Rows(focus_module.Rows):
-        def __new__(cls, rows):
-            return super().__new__(cls, rows.view(Reversed))
+        def __new__(cls, rows, A, C):
+            return super().__new__(cls, rows.view(Reversed), A, C)
 
     monkeypatch.setattr(focus_module, "Rows", Rows)
 
@@ -114,17 +114,15 @@ def fill_skips_rows_after_product(monkeypatch):
     monkeypatch.setattr(focus_module, "_basis_fill", fill)
 
 
-def take_carried_forward(monkeypatch):
-    # The basis fill carries the kets through a Take's row map instead of
-    # through its inverse.
+def rows_carried_forward(monkeypatch):
+    # The basis fill carries the kets through the row map of a Rows on a
+    # middle block (A > 1) instead of through its inverse.
     real = focus_module._moved
 
-    def moved(op, flat, size):
-        if isinstance(op, focus_module.Take):
-            n_c = len(op.index)
-            rows = np.argsort(op.index[0] // n_c)
-            op = op._replace(index=rows * n_c + np.arange(n_c)[:, None])
-        return real(op, flat, size)
+    def moved(op, flat):
+        if isinstance(op, focus_module.Rows) and op.A > 1:
+            op = op._replace(rows=np.argsort(op.rows))
+        return real(op, flat)
 
     monkeypatch.setattr(focus_module, "_moved", moved)
 
@@ -148,7 +146,7 @@ FAULTS = {
     collapse_relabels_sorted: ("focus-laws", "fusion_equivalence"),
     rows_compose_reversed: ("focus-laws", "identity_plan_collapse"),
     fill_skips_rows_after_product: ("focus-laws", "identity_plan_collapse"),
-    take_carried_forward: ("focus-laws", "basis_run_vs_reference"),
+    rows_carried_forward: ("focus-laws", "basis_run_vs_reference"),
     last_step_dropped: ("examples", "ghz_preparation"),
 }
 

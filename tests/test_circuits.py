@@ -209,8 +209,8 @@ class TestPlan:
         assert kinds.count(Gather) <= 6
 
     def test_shor_to_gate_moves_rows_twice_after_the_fill(self, comps):
-        # On the identity's batch every Gather, Permute and Take only moves
-        # rows; runs of them compose into one Rows.  The basis fill writes
+        # On the identity's batch every Gather and permutation step only
+        # moves rows; runs of them compose into one Rows.  The basis fill writes
         # the first Rows, the first Gemm and the Rows after it, leaving 2
         # passes over the matrix.
         circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
@@ -265,8 +265,8 @@ def _scratch_cases(rng) -> dict:
         "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"],
                  ["Gemm", "Rows", "Gemm", "Rows"], (True, True)),
         "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"], (False, False)),
-        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Take", "Permute"],
-                                ["Gemm", "Rows"], (False, False)),
+        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Rows", "Permute"],
+                                ["Gemm", "Rows"], (True, False)),
         "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
                            ["Permute", "Gather", "Gemm", "Gather"],
                            ["Rows", "Gemm", "Rows"], (True, False)),
@@ -452,8 +452,8 @@ class TestScratchBuffer:
 def _basis_circuits() -> dict:
     """Circuits whose run plans open with each op kind the basis fill meets
     (under _PERM_MIN_SIZE = 0 and _RUN_MIN = 2, unfused): a leading Gemm, a
-    Gemm on a middle block (A > 1), a Gather, a Permute, a Take, and no op
-    at all; then two random circuits, fused."""
+    Gemm on a middle block (A > 1), a Gather, a Permute, a Rows on a middle
+    block, and no op at all; then two random circuits, fused."""
     rng = np.random.default_rng(SEED)
     cycle = Gate(np.eye(8)[_random_cycle(8, rng)], 3, 3, 2)
     unfused = {
@@ -463,7 +463,7 @@ def _basis_circuits() -> dict:
                                    Step(Lens(5, (0, 4)), random_gate(2, 2, rng)))),
         "gather": Circuit(4, (Step(Lens(4, (3, 0)), random_gate(2, 2, rng)),)),
         "permute": reversal_circuit(5),
-        "take": Circuit(4, (Step(Lens(4, (1, 2, 3)), cycle), Step(Lens(4, (0,)), hadamard()))),
+        "rows": Circuit(4, (Step(Lens(4, (1, 2, 3)), cycle), Step(Lens(4, (0,)), hadamard()))),
         "empty": Circuit(3, ()),
     }
     return {**{name: circ.fused(0) for name, circ in unfused.items()},
@@ -475,7 +475,7 @@ class TestRunBasis:
     """Circuit.run_basis(v) is run(ket(v)), bit for bit, with no ket built."""
 
     FIRST_OPS = {"gemm_leading": "Gemm", "gemm_middle": "Gemm", "gather": "Gather",
-                 "permute": "Permute", "take": "Take", "empty": None}
+                 "permute": "Permute", "rows": "Rows", "empty": None}
 
     @pytest.mark.parametrize("name", sorted(_basis_circuits()))
     def test_matches_run_on_the_ket_for_every_basis_tuple(self, monkeypatch, name):
@@ -485,7 +485,7 @@ class TestRunBasis:
         plan = cached_plan(circ, None)
         if name in self.FIRST_OPS:
             assert (type(plan[0]).__name__ if plan else None) == self.FIRST_OPS[name]
-        if name == "gemm_middle":
+        if name in ("gemm_middle", "rows"):
             assert plan[0].A > 1
         for v in all_basis_tuples(circ.n, circ.q):
             got = circ.run_basis(v)

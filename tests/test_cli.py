@@ -353,10 +353,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("wires", [17, 20])
     def test_ghz_run_allocates_one_state_sized_array(self, tmp_path, monkeypatch, capsys,
                                                      wires):
-        # No input ket is built: the basis fill writes the plan's one Gemm
-        # into the first buffer, and the Takes after it permute that in
-        # place through a 2**16-amplitude temp, so no second buffer is
-        # made.  (At 16 wires the temp would be as large as the state.)
+        # No input ket is built and no op runs as a pass: the basis fill
+        # carries the kets through the plan's one Gemm and the Rows after
+        # it, and writes the result into the one buffer it allocates.
         ghz_path = str(tmp_path / "ghz.json")
         assert main(["examples", "ghz", "--n", str(wires - 1), "--out", ghz_path]) == 0
         capsys.readouterr()

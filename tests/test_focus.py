@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -32,6 +33,7 @@ from qlens import (
     map_blocks,
     merge_state,
     random_state,
+    reversal_circuit,
     swap,
     toffoli,
     tuple_to_index,
@@ -393,9 +395,9 @@ PERMUTATION_CASES = list(permutation_cases(2, np.random.default_rng(0)))
 
 
 class TestPermutationKernel:
-    """0/1 permutation steps move rows in place, bit-identical to gather + GEMM:
-    by rotating cycles, or by np.take when the lens axes are adjacent and
-    most rows move."""
+    """0/1 permutation steps move rows, bit-identical to gather + GEMM: by
+    rotating cycles in place, or by one np.take into the other buffer (a
+    Rows) when the lens axes are adjacent and most rows move."""
 
     @pytest.fixture(autouse=True)
     def small_states_take_the_kernel(self, monkeypatch):
@@ -415,12 +417,11 @@ class TestPermutationKernel:
         before = amps.copy()
         if chunk is not None:
             monkeypatch.setattr(focus_module, "_CHUNK_BYTES", chunk)
-        taken = []
-        real = focus_module._take_rows
-        monkeypatch.setattr(focus_module, "_take_rows", lambda *a: taken.append(1) or real(*a))
         got = _focus_steps(n, q, steps, amps)
         if case.startswith("take_"):
-            assert len(taken) == sum(_permutation_rows(g.mat) is not None for _, g in steps)
+            plan = focus_module._plan(n, q, steps, b)
+            assert (sum(isinstance(op, focus_module.Rows) for op in plan)
+                    == sum(_permutation_rows(g.mat) is not None for _, g in steps))
         assert np.array_equal(amps, before)
         with monkeypatch.context() as patched:
             patched.setattr(focus_module, "_permutation_rows", lambda mat: None)
@@ -479,45 +480,40 @@ class TestPermutationKernel:
             want = focus_apply_reference(*steps[0], State(5, 2, batch[:, j])).amps
             assert max_entry(got_batch[:, j], want) <= 1e-12
 
-    @pytest.mark.parametrize("chunk, calls, out_shape", [(512, 2, (2, 4, 4)),
-                                                         (128, 8, (1, 4, 2))],
-                             ids=["along_a", "along_c"])
-    def test_take_chunks_stay_within_chunk_bytes(self, monkeypatch, chunk, calls, out_shape):
-        # n = 6, lens (3, 2): the state views as (A, 4, C) = (4, 4, 4), one
-        # (4, C) slab being 256 bytes.
+    def test_rows_take_the_caller_array_once(self, monkeypatch):
+        # n = 6, lens (3, 2): the state views as (A, 4, C) = (4, 4, 4).  One
+        # np.take moves every row straight from the caller's array into the
+        # result, and nothing is copied first.
         rng = np.random.default_rng(SEED)
         steps = [(Lens(6, (3, 2)), one_cycle_gate(2, 2, rng))]
         amps = random_state(6, 2, rng).amps
-        shapes = []
-        real = np.take
-        monkeypatch.setattr(focus_module, "_CHUNK_BYTES", chunk)
-        monkeypatch.setattr(np, "take", lambda a, idx, **k: shapes.append(k["out"].shape)
-                            or real(a, idx, **k))
+        calls = []
+        take, copyto = np.take, np.copyto
+        monkeypatch.setattr(np, "take", lambda a, idx, **k: calls.append(
+            (a.shape, k["out"].shape, np.shares_memory(a, amps))) or take(a, idx, **k))
+        monkeypatch.setattr(np, "copyto", lambda *a, **k: calls.append("copyto")
+                            or copyto(*a, **k))
         got = _focus_steps(6, 2, steps, amps)
         monkeypatch.undo()
-        assert shapes == [out_shape] * calls
-        assert math.prod(out_shape) * 16 <= chunk
+        assert calls == [((4, 4, 4), (4, 4, 4), True)]
+        assert not np.shares_memory(got, amps)
         assert np.array_equal(got, focus_apply_reference(*steps[0], State(6, 2, amps)).amps)
 
-    def test_routing_between_kernels(self, monkeypatch):
+    def test_routing_between_kernels(self):
         # CNOT, swap and Toffoli rotate 3 blocks of 4 or 8, a lens on wires
         # that are not adjacent cannot be viewed as (A, q**m, C), and a
         # fused GHZ cluster moves 30 of its 32 rows in 6 cycles.
         rng = np.random.default_rng(SEED)
         ghz = ghz_circuit(4)._clusters[1]
-        cases = [((1, 2), cnot(), "cycles"), ((2, 3), swap(), "cycles"),
-                 ((1, 2, 3), toffoli(), "cycles"), ((3, 1), one_cycle_gate(2, 2, rng), "cycles"),
-                 ((0, 1, 2, 3, 4), ghz.gate, "take"), ((3, 2), one_cycle_gate(2, 2, rng), "take")]
+        cases = [((1, 2), cnot(), "Permute"), ((2, 3), swap(), "Permute"),
+                 ((1, 2, 3), toffoli(), "Permute"),
+                 ((3, 1), one_cycle_gate(2, 2, rng), "Permute"),
+                 ((0, 1, 2, 3, 4), ghz.gate, "Rows"), ((3, 2), one_cycle_gate(2, 2, rng), "Rows")]
         amps = random_state(6, 2, rng).amps
         for wires, gate, kernel in cases:
-            calls = []
-            with monkeypatch.context() as patched:
-                for name, label in (("_permute_blocks", "cycles"), ("_take_rows", "take")):
-                    real = getattr(focus_module, name)
-                    patched.setattr(focus_module, name, lambda *a, real=real, label=label:
-                                    calls.append(label) or real(*a))
-                got = _focus_steps(6, 2, [(Lens(6, wires), gate)], amps)
-            assert calls == [kernel], wires
+            plan = focus_module._plan(6, 2, [(Lens(6, wires), gate)], None)
+            assert [type(op).__name__ for op in plan] == [kernel], wires
+            got = _focus_steps(6, 2, [(Lens(6, wires), gate)], amps)
             want = focus_apply_reference(Lens(6, wires), gate, State(6, 2, amps)).amps
             assert np.array_equal(got, want)
 
@@ -544,7 +540,7 @@ def placement_cases(q, rng):
         "permute": ([(Lens(n, (2, 1)), cycles[0])], ["Permute"]),
         "permute_apart": ([(Lens(n, (n - 1, 0)), cycles[1])], ["Permute"]),
         "take": ([(Lens(n, (n - 1, 1)), cycles[1]), (Lens(n, (n - 1, n - 2)), cycles[2])],
-                 ["Permute", "Take"]),
+                 ["Permute", "Rows"]),
         # a gate as large as the state is gathered into lens order, not
         # conjugated
         "large_gate": ([(Lens(n, (1, 0) + tuple(range(2, n))), dense[6])],
@@ -599,10 +595,10 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     """Named (plan, ops the basis fill covers), built by hand on n wires
     (4 for qubits, 3 for qutrits) for amplitudes of shape (q**n, batch) or
     (q**n,): products with A = 1, with A > 1 and on no wire, with and
-    without a Rows before and after them (Rows only on the identity's
-    batch, as _plan makes them), a second product, plans that open with no
-    product, and Take, Permute and Gather ops before and after a product,
-    on both batches."""
+    without a Rows of all q**n rows before and after them (only on the
+    identity's batch, as _plan makes them), a second product, plans that
+    open with no product, and Rows on lens blocks, Permute and Gather ops
+    before and after a product, on both batches."""
     n = 4 if q == 2 else 3
     cols = batch or 1
     shape = (q,) * n + (() if batch is None else (batch,))
@@ -612,7 +608,7 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
         return focus_module.Gemm(mat, q**a, q ** (n - a - m) * cols)
 
     def rows() -> focus_module.Rows:
-        return focus_module.Rows(rng.permutation(q**n))
+        return focus_module.Rows(rng.permutation(q**n), 1, cols)
 
     plans = {
         "empty": ((), 0),
@@ -633,8 +629,8 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
 
     # Row maps that are one cycle through every row, so that none is its
     # own inverse.
-    def take(a: int, m: int) -> focus_module.Take:
-        return focus_module._take_op(q**a, _random_cycle(q**m, rng), q ** (n - a - m) * cols)
+    def block_rows(a: int, m: int) -> focus_module.Rows:
+        return focus_module.Rows(_random_cycle(q**m, rng), q**a, q ** (n - a - m) * cols)
 
     def permute(axes: list[int]) -> focus_module.Permute:
         cycles = focus_module._cycles(_random_cycle(q ** len(axes), rng))
@@ -643,13 +639,15 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     def gather_all() -> focus_module.Gather:
         return focus_module.Gather(shape, tuple(rng.permutation(n)) + tuple(range(n, len(shape))))
 
-    plans["take_before"] = ((take(1, 2), gemm(0, 2), gemm(1, 1)), 2)
-    plans["take_after"] = ((gemm(1, 1), take(0, 2), take(n - 1, 1), gemm(0, 2)), 3)
+    plans["block_rows_before"] = ((block_rows(1, 2), gemm(0, 2), gemm(1, 1)), 2)
+    plans["block_rows_after"] = ((gemm(1, 1), block_rows(0, 2), block_rows(n - 1, 1),
+                                  gemm(0, 2)), 3)
     plans["permute_before"] = ((permute([0, n - 1]), gemm(1, 1), gemm(0, 2)), 2)
     plans["permute_after"] = ((gemm(0, 2), permute([1, 2]), permute([0, n - 1]), gemm(1, 1)), 3)
-    plans["gather_between"] = ((permute([0, n - 1]), take(0, 2), gather_all(), gemm(1, 2),
-                                take(1, 2), permute([0, 1]), gemm(0, 1), take(0, 1)), 6)
-    plans["moves_only"] = ((take(0, n), permute([1, n - 1]), gather_all()), 3)
+    plans["gather_between"] = ((permute([0, n - 1]), block_rows(0, 2), gather_all(),
+                                gemm(1, 2), block_rows(1, 2), permute([0, 1]), gemm(0, 1),
+                                block_rows(0, 1)), 6)
+    plans["moves_only"] = ((block_rows(0, n), permute([1, n - 1]), gather_all()), 3)
     return plans
 
 
@@ -697,7 +695,7 @@ class TestBasisFill:
     def test_planned_steps_match_on_both_starts(self, monkeypatch, q):
         # Plans as _plan makes them, permutation kernels included: a
         # reversal (no Gemm; Permutes, or one Rows on the identity), a GHZ
-        # preparation (a Gemm, then a Take) and random steps on unsorted
+        # preparation (a Gemm, then a Rows) and random steps on unsorted
         # lenses.  A ket runs the first two entirely in the fill.
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         rng = np.random.default_rng(SEED)
@@ -716,7 +714,7 @@ class TestBasisFill:
             plan = focus_module._plan(n, q, steps, None)
             if name != "random":
                 kinds = {type(op).__name__ for op in plan}
-                assert kinds == ({"Permute"} if name == "reversal" else {"Gemm", "Take"})
+                assert kinds == ({"Permute"} if name == "reversal" else {"Gemm", "Rows"})
                 assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == len(plan)
             for index in range(q**n):
                 got, _ = focus_module._execute(n, q, plan, None, index=index)
@@ -725,10 +723,10 @@ class TestBasisFill:
 
     def test_ghz_16_runs_in_the_fill(self):
         # At 2**16 amplitudes the planner takes its permutation kernels
-        # unforced: GHZ-16 is one product and then Takes, all in the fill.
+        # unforced: GHZ-16 is one product and then Rows, all in the fill.
         steps = [(s.lens, s.gate) for s in ghz_circuit(15).fused(5).steps]
         plan = focus_module._plan(16, 2, steps, None)
-        assert [type(op).__name__ for op in plan] == ["Gemm"] + ["Take"] * (len(plan) - 1)
+        assert [type(op).__name__ for op in plan] == ["Gemm"] + ["Rows"] * (len(plan) - 1)
         assert len(plan) > 2
         assert focus_module._basis_fill(np.empty(2**16, complex), plan, 0) == len(plan)
         for index in (0, 2**16 - 1, 0b1011001110001011):
@@ -737,6 +735,30 @@ class TestBasisFill:
             got, _ = focus_module._execute(16, 2, plan, None, index=index)
             want, _ = focus_module._execute(16, 2, plan, amps)
             assert np.array_equal(got, want)
+
+
+class TestPlanSize:
+    """A plan holds nothing of the state's size: a Rows holds the q**m rows
+    of its step's gate and a Permute one index per row on its cycles.  So
+    a 40-wire plan, for a state no guard admits, is quick to make (its
+    state-sized index tables once took seconds and GiB to plan)."""
+
+    @pytest.mark.parametrize("circ, kinds", [(ghz_circuit(39), {"Gemm", "Rows"}),
+                                             (reversal_circuit(40), {"Permute", "Rows"})],
+                             ids=["ghz", "reversal"])
+    def test_plans_at_40_wires_are_small_and_quick(self, circ, kinds):
+        steps = [(s.lens, s.gate) for s in circ.fused(5).steps]
+        start = time.perf_counter()
+        plan = focus_module._plan(40, 2, steps, None)
+        assert time.perf_counter() - start < 1.0
+        assert {type(op).__name__ for op in plan} == kinds
+        assert len(plan) == len(steps)
+        for op, (_, gate) in zip(plan, steps):
+            if isinstance(op, focus_module.Rows):
+                assert len(op.rows) == len(gate.mat)
+                assert op.A * len(op.rows) * op.C == 2**40
+            elif isinstance(op, focus_module.Permute):
+                assert len(op.index) <= len(gate.mat)
 
 
 class TestWorkingSetGuard:

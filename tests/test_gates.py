@@ -89,6 +89,20 @@ class TestConstruction:
         g = Gate(np.eye(1), q=1)
         assert (g.wires_in, g.wires_out, g.q) == (0, 0, 1)
 
+    @pytest.mark.parametrize("make", [Gate, gate_from_matrix])
+    @pytest.mark.parametrize("mat, message", [
+        ([[1, 0], [0, np.nan]], "finite"),
+        ([[np.inf, 0], [0, 1]], "finite"),
+        ([[1, complex(0, -np.inf)], [0, 1]], "finite"),
+        (np.array([["a", "b"], ["c", "d"]], dtype=object), "array of numbers"),
+        ([[1, 0], [0]], "array of numbers"),
+    ], ids=["nan", "inf", "imaginary_inf", "object_strings", "ragged"])
+    def test_refuses_what_a_state_refuses(self, make, mat, message):
+        # A NaN gate would print a state as "nan" lines that
+        # state_from_text refuses; bad arrays must not escape as ValueError.
+        with pytest.raises(ShapeMismatch, match=message):
+            make(mat)
+
     def test_declared_arity_must_match(self):
         with pytest.raises(ShapeMismatch):
             Gate(np.eye(4), wires_in=1, wires_out=1)
