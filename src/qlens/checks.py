@@ -313,9 +313,9 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                              f"{where} basis={v}")
 
     # run_basis carries its ket through every op before the second product.
-    # Past _PERM_MIN_SIZE a reversal plans Permutes and a ladder of adders
-    # |a, b> -> |a, a + b mod q> (CNOTs at q = 2) Rows, row maps on middle
-    # blocks (A > 1) as well; random steps follow.
+    # Past _PERM_MIN_SIZE a reversal plans Rows across several axes, and a
+    # ladder of adders |a, b> -> |a, a + b mod q> (CNOTs at q = 2) one-axis
+    # Rows, on middle blocks (A > 1) as well; random steps follow.
     basis_run = _Law("basis_run_vs_reference", 1e-12)
     rng, kets = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
     for q_big in (2, 3):

@@ -200,48 +200,17 @@ class Gemm(NamedTuple):
     C: int
 
 
-class Permute(NamedTuple):
-    """Rotate each cycle c of row blocks in place, new row block c[k] being
-    old row block c[k + 1]; row block i is the state indexed by
-    ``index[i]``, the sorted lens ``axes`` fixed to the digits of i.  Blocks
-    move chunk by chunk over their leading axes, of sizes ``chunks``; one
-    chunk has shape ``tail``."""
-
-    shape: tuple[int, ...]
-    axes: tuple[int, ...]
-    index: dict[int, tuple]
-    cycles: tuple[tuple[int, ...], ...]
-    chunks: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
 class Rows(NamedTuple):
-    """Copy row rows[r] of the state, viewed as (A, q**m, C), to row r of
-    the other buffer, for a row map ``rows`` in axis order."""
+    """Move the row blocks of the state, viewed with ``shape``, by the row
+    map ``rows``: new row block r is old row block rows[r], row block i
+    being the view with its ``axes`` fixed to the digits of i.  On one axis
+    (the (A, q**m, C) view of a lens block, axes (1,)) that is one np.take
+    into the other buffer; on several, whose row blocks are strided views,
+    the map's cycles rotate in place (_rotate)."""
 
     rows: np.ndarray
-    A: int
-    C: int
-
-
-def _permute_op(shape: tuple[int, ...], axes: list[int], cycles: list[list[int]],
-                q: int) -> Permute:
-    """Permute for the ``cycles`` of a row map in axis order on the sorted
-    lens ``axes``."""
-    m = len(axes)
-    index = {}
-    for i in (i for cycle in cycles for i in cycle):
-        at = [slice(None)] * len(shape)
-        for pos, a in enumerate(axes):
-            at[a] = i // q ** (m - 1 - pos) % q
-        index[i] = tuple(at) + (Ellipsis,)
-    inner = [d for a, d in enumerate(shape) if a not in axes]
-    lead, nchunks = 0, 1
-    while lead < len(inner) and 16 * math.prod(shape) > _CHUNK_BYTES * nchunks:
-        nchunks *= inner[lead]
-        lead += 1
-    return Permute(shape, tuple(axes), index, tuple(map(tuple, cycles)), tuple(inner[:lead]),
-                   tuple(inner[lead:]))
+    shape: tuple[int, ...]
+    axes: tuple[int, ...]
 
 
 def _layout(order: list[int], front: list[int]) -> list[int]:
@@ -260,7 +229,7 @@ def _layout(order: list[int], front: list[int]) -> list[int]:
 
 
 def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
-          batch: int | None) -> tuple[Gather | Gemm | Permute | Rows, ...]:
+          batch: int | None) -> tuple[Gather | Gemm | Rows, ...]:
     """Ops that apply (lens, gate) steps, left to right, to amplitudes of
     shape (q**n,) (``batch`` None) or (q**n, batch), unchecked.
 
@@ -270,13 +239,14 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
 
     A step whose gate is a 0/1 permutation matrix only relabels basis
     tuples (detected from _PERM_MIN_SIZE amplitudes up), and leaves
-    ``order`` alone.  Rotating the non-trivial cycles of row blocks in place
-    (Permute), each block a strided view wherever the lens wires sit, copies
-    one block per moved row plus one per cycle, while one np.take pass over
-    the (A, q**m, C) view (Rows, its row map of q**m entries) copies every
-    row into the other buffer.  So the step is a Rows when its lens wires
-    sit on adjacent axes and the cycles would copy at least q**m blocks (a
-    fused GHZ cluster: 30 of 32 rows moved, in 6 cycles), and a Permute
+    ``order`` alone: it is a Rows of its row map (q**m entries).  Rotating
+    the non-trivial cycles of row blocks in place, each block a strided
+    view on the sorted lens axes of the full (q,)*n shape, copies one block
+    per moved row plus one per cycle, while one np.take pass along the
+    middle axis of the (A, q**m, C) view copies every row into the other
+    buffer.  So the step takes the one-axis view when its lens wires sit on
+    adjacent axes and the cycles would copy at least q**m blocks (a fused
+    GHZ cluster: 30 of 32 rows moved, in 6 cycles), and the lens axes
     otherwise (a lone CNOT, swap or Toffoli: 3 blocks of 4 or 8).
 
     A dense step whose lens wires already sit on adjacent axes, in any
@@ -295,17 +265,17 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
 
     On the identity's batch (``batch`` == q**n: to_gate, _collapse) each
     Gather or permutation step only moves rows, so it is planned as its row
-    map on the (1, q**n, batch) view: the basis-index table transposed by
-    the Gather's axes, or with the step applied (curried along its lens
-    axes, rows taken, uncurried).  A map r2 after r1 composes to r1[r2];
-    runs merge into one Rows, dropped if it is the identity: that turns the
-    9 ops of the Shor-code collapse into 5, of which 4 pass over the
-    matrix.
+    map on the one-axis (1, q**n, batch) view: the basis-index table
+    transposed by the Gather's axes, or with the step applied (curried
+    along its lens axes, rows taken, uncurried).  A map r2 after r1
+    composes to r1[r2]; runs merge into one Rows, dropped if it is the
+    identity: that turns the 9 ops of the Shor-code collapse into 5, of
+    which 4 pass over the matrix.
     """
     shape, steps = (q,) * n + (() if batch is None else (batch,)), list(steps)
     size, trail = math.prod(shape), tuple(range(n, len(shape)))
     order: list[int] = list(range(n))
-    plan: list[Gather | Gemm | Permute | Rows] = []
+    plan: list[Gather | Gemm | Rows] = []
     table = np.arange(q**n).reshape((q,) * n) if batch == q**n else None
 
     def place(wires: list[int]) -> tuple[list[int], int, int, bool]:
@@ -317,7 +287,7 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
         if plan and isinstance(plan[-1], Rows):
             rows = plan.pop().rows[rows]
         if (rows != table.reshape(-1)).any():
-            plan.append(Rows(rows, 1, batch))
+            plan.append(Rows(rows, (1, q**n, batch), (1,)))
 
     def gather(axes: tuple[int, ...]) -> None:
         if table is None:
@@ -337,9 +307,9 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
                 continue
             cycles = _cycles(rows)
             if adjacent and sum(map(len, cycles)) + len(cycles) >= len(rows):
-                plan.append(Rows(rows, A, C))
+                plan.append(Rows(rows, (A, len(rows), C), (1,)))
             elif cycles:
-                plan.append(_permute_op(shape, sorted(axes), cycles, q))
+                plan.append(Rows(rows, shape, tuple(sorted(axes))))
             continue
         # A gate as large as the state costs as much to conjugate as the
         # state does to gather, and its conjugate would be one more array
@@ -359,44 +329,50 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     return tuple(plan)
 
 
-def _permute_blocks(buf: np.ndarray, op: Permute, temp: np.ndarray) -> None:
-    """Run a Permute on buf, each cycle rotating through ``temp``, chunk by
-    chunk; fixed rows are not touched."""
-    buf = buf.reshape(op.shape)
-    blocks = {i: buf[at] for i, at in op.index.items()}
-    tmp = temp[:math.prod(op.tail)].reshape(op.tail)
-    for chunk in product(*map(range, op.chunks)):
+def _rotate(buf: np.ndarray, op: Rows, temp: np.ndarray) -> None:
+    """Run a Rows on several axes in place on buf, each cycle of its row
+    map rotating through ``temp``; fixed rows are not touched.  The row
+    blocks move chunk by chunk over their leading axes, as few as bring a
+    chunk of the state within _CHUNK_BYTES."""
+    m = len(op.axes)
+    state = np.moveaxis(buf.reshape(op.shape), op.axes, range(m))
+    cycles, inner = _cycles(op.rows), state.shape[m:]
+    blocks = {i: state[np.unravel_index(i, state.shape[:m]) + (Ellipsis,)]
+              for cycle in cycles for i in cycle}
+    lead = 0
+    while lead < len(inner) and buf.nbytes > _CHUNK_BYTES * math.prod(inner[:lead]):
+        lead += 1
+    tmp = temp[:math.prod(inner[lead:])].reshape(inner[lead:])
+    for chunk in product(*map(range, inner[:lead])):
         at = chunk + (Ellipsis,)
-        for cycle in op.cycles:
+        for cycle in cycles:
             np.copyto(tmp, blocks[cycle[0]][at])
             for here, there in zip(cycle, cycle[1:]):
                 np.copyto(blocks[here][at], blocks[there][at])
             np.copyto(blocks[cycle[-1]][at], tmp)
 
 
-def _moved(op: Gather | Permute | Rows, flat: np.ndarray) -> np.ndarray:
+def _moved(op: Gather | Rows, flat: np.ndarray) -> np.ndarray:
     """Where ``op``, which only moves amplitudes, puts those at the flat
-    indices ``flat``: a Gather transposes their digits, a Permute moves the
-    digits on its lens ``axes`` that lie on its cycles, and a Rows sends the
-    row of each, on its (A, q**m, C) view, through the inverse of its row
-    map (argsort, the map being a permutation)."""
+    indices ``flat``: a Gather transposes their digits, and a Rows sends the
+    row of each through the inverse of its row map (argsort, the map being
+    a permutation), on one axis by the row's stride, on several by moving
+    the digits on its axes."""
     if isinstance(op, Gather):
         digits = np.unravel_index(flat, op.shape)
         return np.ravel_multi_index([digits[a] for a in op.axes], op.shape)
-    if isinstance(op, Permute):
-        digits = np.unravel_index(flat, op.shape)
-        lens = [op.shape[a] for a in op.axes]
-        to = np.arange(math.prod(lens))
-        for cycle in op.cycles:
-            to[list(cycle[1:] + cycle[:1])] = cycle
-        new = np.unravel_index(to[np.ravel_multi_index([digits[a] for a in op.axes], lens)], lens)
-        digits = [new[op.axes.index(a)] if a in op.axes else d for a, d in enumerate(digits)]
-        return np.ravel_multi_index(digits, op.shape)
-    row = flat // op.C % len(op.rows)
-    return flat + (np.argsort(op.rows)[row] - row) * op.C
+    to = np.argsort(op.rows)
+    if len(op.axes) == 1:
+        step = math.prod(op.shape[op.axes[0] + 1:])
+        row = flat // step % len(op.rows)
+        return flat + (to[row] - row) * step
+    digits, axes = np.array(np.unravel_index(flat, op.shape)), list(op.axes)
+    lens = [op.shape[a] for a in axes]
+    digits[axes] = np.unravel_index(to[np.ravel_multi_index(digits[axes], lens)], lens)
+    return np.ravel_multi_index(digits, op.shape)
 
 
-def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Rows, ...],
+def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Rows, ...],
                 index: int | None) -> int:
     """Write basis kets into ``buf``, of shape (q**n, q**n) for the
     identity's columns (``index`` None) or (q**n,) for the one ket at
@@ -404,7 +380,7 @@ def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Rows, ...
     product; return how many ops it covered.
 
     The fill follows the flat indices of the kets' nonzero amplitudes
-    through each Gather, Permute or Rows, the ops that only move amplitudes
+    through each Gather or Rows, the ops that only move amplitudes
     (_moved).  The first Gemm expands them as focus_on_basis re-embeds a
     gate applied locally: an amplitude at (a, j, c) of its (A, q**m, C) view
     becomes mat[:, j] at (a, :, c), each entry one product term times 1.0,
@@ -428,7 +404,7 @@ def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Permute | Rows, ...
     return done
 
 
-def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Rows, ...],
+def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Rows, ...],
              amps: np.ndarray | None, scratch: np.ndarray | None = None,
              index: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run a plan of _plan(n, q, steps, batch) on amplitudes of the shape it
@@ -438,22 +414,23 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Rows, ...],
 
     Each of the two state-sized buffers is allocated when an op first
     writes it: the basis fill, the copy of the caller's ``amps`` that a
-    Permute (or a plan that writes nothing) makes first, and the
-    destination of a Gather, Gemm or Rows.  The first two go into the first
-    buffer, always fresh; a ``scratch`` of the buffers' shape is the second
-    (with the scratch first, a Shor-code to_gate result landed in it, and
-    collapse_small ops took 8-20% longer, 2-vCPU Xeon).  Gathers, products
-    and Rows alternate between the buffers, reading the caller's array
-    where one opens the plan (Rows take mode="clip": with "raise" and out=,
-    numpy buffers the copy, 1.3 against 0.44 ms at 512 x 512); a Permute,
-    the one op in place, works through a temp of _CHUNK_BYTES // 16
-    amplitudes.  Basis kets cost no pass for the ops before the plan's
-    second Gemm: _basis_fill writes the state after them (a Shor-code
-    to_gate runs 2 of its 4 passes, a GHZ-20 ket or a reversal none).  The
-    result never shares memory with the scratch handed back, so a caller
-    may keep that for its next call.  Before allocating, the working set
-    (the caller's ``amps`` and two buffers, or two buffers for basis kets)
-    must fit MAX_STATE_ENTRIES.
+    Rows on several axes (or a plan that writes nothing) makes first, and
+    the destination of a Gather, Gemm or one-axis Rows.  The first two go
+    into the first buffer, always fresh; a ``scratch`` of the buffers'
+    shape is the second (with the scratch first, a Shor-code to_gate
+    result landed in it, and collapse_small ops took 8-20% longer, 2-vCPU
+    Xeon).  Gathers, products and one-axis Rows alternate between the
+    buffers, reading the caller's array where one opens the plan (np.take
+    with mode="clip": with "raise" and out=, numpy buffers the copy, 1.3
+    against 0.44 ms at 512 x 512); a Rows on several axes, the one op in
+    place, rotates through a temp of _CHUNK_BYTES // 16 amplitudes.
+    Basis kets cost no pass for the ops before the plan's second Gemm:
+    _basis_fill writes the state after them (a Shor-code to_gate runs 2 of
+    its 4 passes, a GHZ-20 ket or a reversal none).  The result never
+    shares memory with the scratch handed back, so a caller may keep that
+    for its next call.  Before allocating, the working set (the caller's
+    ``amps`` and two buffers, or two buffers for basis kets) must fit
+    MAX_STATE_ENTRIES.
     """
     basis = amps is None
     shape = ((q**n, q**n) if index is None else (q**n,)) if basis else amps.shape
@@ -476,11 +453,11 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Rows, ...],
     done = _basis_fill(cur, plan, index) if basis else 0
     temp = None
     for op in plan[done:]:
-        if isinstance(op, Permute):
+        if isinstance(op, Rows) and len(op.axes) > 1:
             cur = own(cur)
             if temp is None:
                 temp = np.empty(_CHUNK_BYTES // 16, np.complex128)
-            _permute_blocks(cur, op, temp)
+            _rotate(cur, op, temp)
             continue
         spare = buffer(1 if cur is bufs[0] else 0)
         if isinstance(op, Gather):
@@ -489,8 +466,8 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Permute | Rows, ...],
             view = (op.A, len(op.mat), op.C)
             np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
         else:
-            view = (op.A, len(op.rows), op.C)
-            np.take(cur.reshape(view), op.rows, axis=1, out=spare.reshape(view), mode="clip")
+            np.take(cur.reshape(op.shape), op.rows, axis=op.axes[0], out=spare.reshape(op.shape),
+                    mode="clip")
         cur = spare
     cur = own(cur)
     return cur, bufs[1] if cur is bufs[0] else bufs[0]

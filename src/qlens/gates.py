@@ -21,18 +21,18 @@ from .errors import (
     UnknownGate,
     UnsupportedAlphabet,
 )
-from .state import State
+from .state import State, _complex_array
 
 # Correctly rounded 1/sqrt(2); sqrt(0.5) is exact to the last ulp while
 # 1/sqrt(2) picks up a second rounding.
 _SQRT2_INV = math.sqrt(0.5)
 
-# Dense operators are capped at n*log2(q) <= 14 wire-bits by default.
+# Dense operators are capped at n*log2(q) <= 14 wire-bits.
 MAX_DENSE_BITS = 14
 
 
-def check_dense_size(n: int, q: int, max_bits: int | None = None) -> int:
-    limit = MAX_DENSE_BITS if max_bits is None else max_bits
+def check_dense_size(n: int, q: int) -> int:
+    limit = MAX_DENSE_BITS
     # For q >= 2, n > limit already decides it: q**n may be too big to compute.
     if (q > 1 and n > limit) or q**n > 2**limit:
         raise SizeGuardExceeded(
@@ -69,10 +69,7 @@ class Gate:
         # nobody else holds, so it is kept as is, neither checked nor copied.
         if q < 1:
             raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
-        try:
-            m = np.ascontiguousarray(mat, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise ShapeMismatch("gate matrix must be a rectangular array of numbers") from None
+        m = mat if _trusted else _complex_array(mat, "gate matrix")
         if m.ndim != 2:
             raise ShapeMismatch(f"gate matrix must be 2-D, got shape {m.shape}")
         rows, cols = m.shape
@@ -83,10 +80,6 @@ class Gate:
                 f"gate matrix {rows}x{cols} does not match q={q} with "
                 f"{out} output / {inn} input wires"
             )
-        if not _trusted and not np.isfinite(m.view(np.float64)).all():
-            raise ShapeMismatch("gate entries must be finite")
-        if m is mat and not _trusted:
-            m = m.copy()
         m.setflags(write=False)
         self.mat = m
         self.wires_in = inn

@@ -52,8 +52,7 @@ def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_matrix(n: int, perm: Sequence[int], q: int = 2,
-                max_bits: int | None = None) -> DenseOperator:
+def perm_matrix(n: int, perm: Sequence[int], q: int = 2) -> DenseOperator:
     """Matrix sending ket(t) to ket(t') with t'[j] = t[perm[j]].
 
     perm must be a bijection of [0, n); the result is a 0/1 unitary.
@@ -61,7 +60,7 @@ def perm_matrix(n: int, perm: Sequence[int], q: int = 2,
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(n)):
         raise InvalidPermutation(f"{list(perm)} is not a permutation of [0, {n})")
-    dim = check_dense_size(n, q, max_bits)
+    dim = check_dense_size(n, q)
     # Digit-shuffle every column index at once instead of looping kets.
     digits = np.empty((n, dim), dtype=np.int64)
     idx = np.arange(dim)
@@ -75,8 +74,7 @@ def perm_matrix(n: int, perm: Sequence[int], q: int = 2,
     return DenseOperator(n, q, mat)
 
 
-def build_full_matrix(lens: Lens, gate: Gate,
-                      max_bits: int | None = None) -> DenseOperator:
+def build_full_matrix(lens: Lens, gate: Gate) -> DenseOperator:
     """Dense matrix of a gate focused at a lens: U(rho)^-1 (M ⊗ I) U(rho).
 
     rho routes the lens wires to the leading positions (complement wires keep
@@ -88,10 +86,10 @@ def build_full_matrix(lens: Lens, gate: Gate,
     if gate.wires_in != lens.m:
         raise ShapeMismatch(f"gate acts on {gate.wires_in} wires, lens selects {lens.m}")
     n, q = lens.n, gate.q
-    dim = check_dense_size(n, q, max_bits)
+    dim = check_dense_size(n, q)
     rho = lens.idx + lens.complement.idx
-    gather = perm_matrix(n, rho, q, max_bits)
-    scatter = perm_matrix(n, inverse_permutation(rho), q, max_bits)
+    gather = perm_matrix(n, rho, q)
+    scatter = perm_matrix(n, inverse_permutation(rho), q)
     padded = kron(gate.mat, np.eye(q ** (n - lens.m), dtype=np.complex128))
     return DenseOperator(n, q, scatter.mat @ padded @ gather.mat)
 
@@ -106,13 +104,12 @@ def random_unitary(dim: int, rng: np.random.Generator | None = None) -> np.ndarr
 
 
 def assert_equiv(lens: Lens, gate: Gate, trials: int = 20,
-                 rng: np.random.Generator | None = None,
-                 max_bits: int | None = None) -> float:
+                 rng: np.random.Generator | None = None) -> float:
     """Max deviation between the dense operator and focus_apply on random states."""
     from .focus import focus_apply
 
     rng = np.random.default_rng() if rng is None else rng
-    dense = build_full_matrix(lens, gate, max_bits)
+    dense = build_full_matrix(lens, gate)
     worst = 0.0
     for _ in range(trials):
         s = random_state(lens.n, gate.q, rng)

@@ -36,18 +36,36 @@ _CHUNK_BYTES = 1 << 20
 BasisTuple = tuple[int, ...]
 
 
-def check_allocation(n: int, q: int, max_entries: int | None = None) -> int:
+def check_allocation(n: int, q: int) -> int:
     """Validate that a q**n amplitude table fits the guard; returns q**n."""
     if n < 0:
         raise IndexOutOfRange(f"negative wire count {n}")
     if q < 1:
         raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
-    limit = MAX_STATE_ENTRIES if max_entries is None else max_entries
+    limit = MAX_STATE_ENTRIES
     # For q >= 2, q**n >= 2**n > limit once n reaches limit's bit length: that
     # decides it without q**n, which may be too big to compute or to print.
     if (q > 1 and n >= limit.bit_length()) or q**n > limit:
         raise SizeGuardExceeded(f"{q}**{n} amplitudes exceeds guard {limit}")
     return q**n
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a new contiguous complex128 array of finite entries,
+    or ShapeMismatch.  Numbers of any numeric dtype pass; strings and
+    bytes, which numpy would parse ("1j" -> 1j), do not, nor does what
+    numpy cannot convert (a ragged list)."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind in "SU" or (a.dtype.kind == "O"
+                                    and any(isinstance(x, (str, bytes)) for x in a.flat)):
+            raise TypeError
+        a = np.array(a, dtype=np.complex128, order="C", ndmin=1)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"{what} must be an array of numbers") from None
+    if not np.isfinite(a).all():
+        raise ShapeMismatch(f"{what} must be finite")
+    return a
 
 
 def check_working_set(arrays: int, entries: int) -> None:
@@ -90,20 +108,14 @@ class State:
 
     def __init__(self, n: int, q: int, amps: np.ndarray, *, _trusted: bool = False):
         dim = check_allocation(n, q)
-        if _trusted:
-            a = amps
-        else:
-            a = np.ascontiguousarray(amps, dtype=np.complex128)
-            if a.shape != (dim,):
-                raise ShapeMismatch(f"expected {dim} amplitudes, got shape {a.shape}")
-            if not np.all(np.isfinite(a.view(np.float64))):
-                raise ShapeMismatch("amplitudes must be finite")
-            if a is amps:
-                a = a.copy()
-        a.setflags(write=False)
+        if not _trusted:
+            amps = _complex_array(amps, "amplitudes")
+            if amps.shape != (dim,):
+                raise ShapeMismatch(f"expected {dim} amplitudes, got shape {amps.shape}")
+        amps.setflags(write=False)
         self.n = n
         self.q = q
-        self.amps = a
+        self.amps = amps
 
     def amplitude(self, v: Sequence[int]) -> complex:
         if len(v) != self.n:
@@ -178,8 +190,7 @@ def zero_state(n: int, q: int = 2) -> State:
 
 def from_amplitudes(amps: Iterable[complex], q: int = 2) -> State:
     """Build a state from a flat amplitude list whose length must be q**n."""
-    a = np.ascontiguousarray(list(amps) if not isinstance(amps, np.ndarray) else amps,
-                             dtype=np.complex128)
+    a = _complex_array(amps if isinstance(amps, np.ndarray) else list(amps), "amplitudes")
     n = 0
     dim = 1
     while dim < a.size and q > 1:

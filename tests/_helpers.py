@@ -12,6 +12,16 @@ def max_entry(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
 
 
+def kind(op) -> str:
+    """The kind of a plan's op, a Rows named by its kernel: "Rows:one"
+    takes its rows along one axis into the other buffer, "Rows:several"
+    rotates their cycles in place across several axes."""
+    name = type(op).__name__
+    if name != "Rows":
+        return name
+    return "Rows:one" if len(op.axes) == 1 else "Rows:several"
+
+
 def random_steps(n: int, q: int, rng: np.random.Generator, count: int = 8) -> list:
     """Seeded (lens, gate) steps on unsorted lenses of 0..3 wires.
 

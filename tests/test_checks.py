@@ -86,14 +86,16 @@ def collapse_relabels_sorted(monkeypatch):
 
 
 def rows_compose_reversed(monkeypatch):
-    # A row map r2 that follows r1 composes to r2[r1] instead of r1[r2].
+    # A row map r2 that follows r1 composes to r2[r1] instead of r1[r2]
+    # (relabel composes one-axis Rows only).
     class Reversed(np.ndarray):
         def __getitem__(self, rows):
             return np.asarray(rows)[self.view(np.ndarray)]
 
     class Rows(focus_module.Rows):
-        def __new__(cls, rows, A, C):
-            return super().__new__(cls, rows.view(Reversed), A, C)
+        def __new__(cls, rows, shape, axes):
+            return super().__new__(cls, rows.view(Reversed) if len(axes) == 1 else rows,
+                                   shape, axes)
 
     monkeypatch.setattr(focus_module, "Rows", Rows)
 
@@ -115,12 +117,12 @@ def fill_skips_rows_after_product(monkeypatch):
 
 
 def rows_carried_forward(monkeypatch):
-    # The basis fill carries the kets through the row map of a Rows on a
-    # middle block (A > 1) instead of through its inverse.
+    # The basis fill carries the kets through the row map of a one-axis
+    # Rows on a middle block (A > 1) instead of through its inverse.
     real = focus_module._moved
 
     def moved(op, flat):
-        if isinstance(op, focus_module.Rows) and op.A > 1:
+        if isinstance(op, focus_module.Rows) and op.axes == (1,) and op.shape[0] > 1:
             op = op._replace(rows=np.argsort(op.rows))
         return real(op, flat)
 

@@ -45,7 +45,7 @@ import qlens.circuits as circuits_module
 import qlens.cli as cli
 import qlens.focus as focus_module
 import qlens.state as state_module
-from _helpers import (dense_product, max_entry, random_gate, random_lens, random_steps,
+from _helpers import (dense_product, kind, max_entry, random_gate, random_lens, random_steps,
                       reference_run)
 
 SEED = 60609
@@ -215,7 +215,7 @@ class TestPlan:
         # passes over the matrix.
         circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
         plan = cached_plan(circ, 2**9)
-        assert [type(op).__name__ for op in plan] == ["Rows", "Gemm", "Rows", "Gemm", "Rows"]
+        assert [kind(op) for op in plan] == ["Rows:one", "Gemm"] * 2 + ["Rows:one"]
         assert focus_module._basis_fill(np.empty((2**9, 2**9), complex), plan, None) == 3
 
     def test_run_and_to_gate_plan_once(self, monkeypatch):
@@ -263,13 +263,13 @@ def _scratch_cases(rng) -> dict:
              Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
     return {
         "even": (Circuit(6, dense), ["Gemm", "Gather", "Gemm", "Gather"],
-                 ["Gemm", "Rows", "Gemm", "Rows"], (True, True)),
+                 ["Gemm", "Rows:one", "Gemm", "Rows:one"], (True, True)),
         "odd": (Circuit(6, dense[:1]), ["Gemm"], ["Gemm"], (False, False)),
-        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Rows", "Permute"],
-                                ["Gemm", "Rows"], (True, False)),
+        "in_place_after_gemm": (ghz_circuit(5), ["Gemm", "Rows:one", "Rows:several"],
+                                ["Gemm", "Rows:one"], (True, False)),
         "in_place_first": (Circuit(6, (Step(Lens(6, (4, 1)), cnot()),) + dense[1:]),
-                           ["Permute", "Gather", "Gemm", "Gather"],
-                           ["Rows", "Gemm", "Rows"], (True, False)),
+                           ["Rows:several", "Gather", "Gemm", "Gather"],
+                           ["Rows:one", "Gemm", "Rows:one"], (True, False)),
         "identity": (Circuit(6, ()), [], [], (False, False)),
     }
 
@@ -311,9 +311,9 @@ class TestScratchBuffer:
         # buffers: its fill stands in for the copy or the first Gemm.
         rng = np.random.default_rng(SEED)
         circ, kinds, identity_kinds, (keeps, identity_keeps) = _scratch_cases(rng)[case]
-        assert [type(op).__name__ for op in cached_plan(circ, None)] == kinds
-        assert [type(op).__name__ for op in cached_plan(circ, 3)] == kinds
-        assert [type(op).__name__ for op in cached_plan(circ, 64)] == identity_kinds
+        assert [kind(op) for op in cached_plan(circ, None)] == kinds
+        assert [kind(op) for op in cached_plan(circ, 3)] == kinds
+        assert [kind(op) for op in cached_plan(circ, 64)] == identity_kinds
 
         s = random_state(6, 2, rng)
         before = s.amps.copy()
@@ -387,7 +387,7 @@ class TestScratchBuffer:
             return out
 
         empty, perm = Circuit(16, ()), reversal_circuit(6)
-        assert [type(op).__name__ for op in cached_plan(perm, 64)] == ["Rows"]
+        assert [kind(op) for op in cached_plan(perm, 64)] == ["Rows:one"]
         s = random_state(16, 2, np.random.default_rng(SEED))
         monkeypatch.setattr(np, "empty", counted)
         outs = []
@@ -452,8 +452,8 @@ class TestScratchBuffer:
 def _basis_circuits() -> dict:
     """Circuits whose run plans open with each op kind the basis fill meets
     (under _PERM_MIN_SIZE = 0 and _RUN_MIN = 2, unfused): a leading Gemm, a
-    Gemm on a middle block (A > 1), a Gather, a Permute, a Rows on a middle
-    block, and no op at all; then two random circuits, fused."""
+    Gemm on a middle block (A > 1), a Gather, a Rows on several axes, a
+    one-axis Rows on a middle block, and no op at all; then two random circuits, fused."""
     rng = np.random.default_rng(SEED)
     cycle = Gate(np.eye(8)[_random_cycle(8, rng)], 3, 3, 2)
     unfused = {
@@ -475,7 +475,7 @@ class TestRunBasis:
     """Circuit.run_basis(v) is run(ket(v)), bit for bit, with no ket built."""
 
     FIRST_OPS = {"gemm_leading": "Gemm", "gemm_middle": "Gemm", "gather": "Gather",
-                 "permute": "Permute", "rows": "Rows", "empty": None}
+                 "permute": "Rows:several", "rows": "Rows:one", "empty": None}
 
     @pytest.mark.parametrize("name", sorted(_basis_circuits()))
     def test_matches_run_on_the_ket_for_every_basis_tuple(self, monkeypatch, name):
@@ -484,9 +484,11 @@ class TestRunBasis:
         circ = _basis_circuits()[name]
         plan = cached_plan(circ, None)
         if name in self.FIRST_OPS:
-            assert (type(plan[0]).__name__ if plan else None) == self.FIRST_OPS[name]
-        if name in ("gemm_middle", "rows"):
+            assert (kind(plan[0]) if plan else None) == self.FIRST_OPS[name]
+        if name == "gemm_middle":
             assert plan[0].A > 1
+        if name == "rows":
+            assert plan[0].shape[0] > 1
         for v in all_basis_tuples(circ.n, circ.q):
             got = circ.run_basis(v)
             want = circ.run(ket(v, circ.q))

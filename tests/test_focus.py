@@ -44,7 +44,7 @@ import qlens.focus as focus_module
 import qlens.state as state_module
 from qlens.checks import _random_cycle
 from qlens.focus import _focus_steps, _permutation_rows
-from _helpers import (dense_product, max_entry, random_gate, random_lens, random_steps,
+from _helpers import (dense_product, kind, max_entry, random_gate, random_lens, random_steps,
                       reference_run)
 
 SEED = 424242
@@ -395,9 +395,10 @@ PERMUTATION_CASES = list(permutation_cases(2, np.random.default_rng(0)))
 
 
 class TestPermutationKernel:
-    """0/1 permutation steps move rows, bit-identical to gather + GEMM: by
-    rotating cycles in place, or by one np.take into the other buffer (a
-    Rows) when the lens axes are adjacent and most rows move."""
+    """0/1 permutation steps move rows (a Rows), bit-identical to gather +
+    GEMM: by rotating cycles in place across the lens axes, or by one
+    np.take along one axis into the other buffer when the lens axes are
+    adjacent and most rows move."""
 
     @pytest.fixture(autouse=True)
     def small_states_take_the_kernel(self, monkeypatch):
@@ -420,7 +421,7 @@ class TestPermutationKernel:
         got = _focus_steps(n, q, steps, amps)
         if case.startswith("take_"):
             plan = focus_module._plan(n, q, steps, b)
-            assert (sum(isinstance(op, focus_module.Rows) for op in plan)
+            assert ([kind(op) for op in plan].count("Rows:one")
                     == sum(_permutation_rows(g.mat) is not None for _, g in steps))
         assert np.array_equal(amps, before)
         with monkeypatch.context() as patched:
@@ -499,20 +500,36 @@ class TestPermutationKernel:
         assert not np.shares_memory(got, amps)
         assert np.array_equal(got, focus_apply_reference(*steps[0], State(6, 2, amps)).amps)
 
+    def test_one_lens_axis_is_always_taken(self):
+        # At q = 4 a 2-cycle on one wire copies 3 blocks of 4 rows, so the
+        # step keeps the full view; with one lens axis its row blocks are
+        # still slices along that axis, and np.take moves them.
+        g = permutation_gate([1, 0, 2, 3], 1, 4)
+        steps = [(Lens(7, (3,)), g)]
+        (op,) = focus_module._plan(7, 4, steps, None)
+        assert (kind(op), op.shape, op.axes) == ("Rows:one", (4,) * 7, (3,))
+        amps = random_state(7, 4, np.random.default_rng(SEED)).amps
+        got = _focus_steps(7, 4, steps, amps)
+        assert np.array_equal(got, focus_apply_reference(*steps[0], State(7, 4, amps)).amps)
+        for index in (0, 5, 4**7 - 1):
+            basis, _ = focus_module._execute(7, 4, (op,), None, index=index)
+            ket_amps = np.eye(1, 4**7, index, dtype=complex)[0]
+            assert np.array_equal(basis, _focus_steps(7, 4, steps, ket_amps))
+
     def test_routing_between_kernels(self):
         # CNOT, swap and Toffoli rotate 3 blocks of 4 or 8, a lens on wires
         # that are not adjacent cannot be viewed as (A, q**m, C), and a
         # fused GHZ cluster moves 30 of its 32 rows in 6 cycles.
         rng = np.random.default_rng(SEED)
         ghz = ghz_circuit(4)._clusters[1]
-        cases = [((1, 2), cnot(), "Permute"), ((2, 3), swap(), "Permute"),
-                 ((1, 2, 3), toffoli(), "Permute"),
-                 ((3, 1), one_cycle_gate(2, 2, rng), "Permute"),
-                 ((0, 1, 2, 3, 4), ghz.gate, "Rows"), ((3, 2), one_cycle_gate(2, 2, rng), "Rows")]
+        several, one = "Rows:several", "Rows:one"
+        cases = [((1, 2), cnot(), several), ((2, 3), swap(), several),
+                 ((1, 2, 3), toffoli(), several), ((3, 1), one_cycle_gate(2, 2, rng), several),
+                 ((0, 1, 2, 3, 4), ghz.gate, one), ((3, 2), one_cycle_gate(2, 2, rng), one)]
         amps = random_state(6, 2, rng).amps
         for wires, gate, kernel in cases:
             plan = focus_module._plan(6, 2, [(Lens(6, wires), gate)], None)
-            assert [type(op).__name__ for op in plan] == [kernel], wires
+            assert [kind(op) for op in plan] == [kernel], wires
             got = _focus_steps(6, 2, [(Lens(6, wires), gate)], amps)
             want = focus_apply_reference(Lens(6, wires), gate, State(6, 2, amps)).amps
             assert np.array_equal(got, want)
@@ -537,10 +554,10 @@ def placement_cases(q, rng):
         # so the next step runs on its block in the middle
         "look_ahead": ([(Lens(n, (n - 1, 0)), dense[4]), (Lens(n, (0, 2)), dense[5])],
                        ["Gather", "Gemm1", "GemmA", "Gather"]),
-        "permute": ([(Lens(n, (2, 1)), cycles[0])], ["Permute"]),
-        "permute_apart": ([(Lens(n, (n - 1, 0)), cycles[1])], ["Permute"]),
+        "permute": ([(Lens(n, (2, 1)), cycles[0])], ["Rows:several"]),
+        "permute_apart": ([(Lens(n, (n - 1, 0)), cycles[1])], ["Rows:several"]),
         "take": ([(Lens(n, (n - 1, 1)), cycles[1]), (Lens(n, (n - 1, n - 2)), cycles[2])],
-                 ["Permute", "Rows"]),
+                 ["Rows:several", "Rows:one"]),
         # a gate as large as the state is gathered into lens order, not
         # conjugated
         "large_gate": ([(Lens(n, (1, 0) + tuple(range(2, n))), dense[6])],
@@ -567,8 +584,8 @@ class TestPlacement:
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         monkeypatch.setattr(focus_module, "_RUN_MIN", q * (b or 1))
         plan = focus_module._plan(n, q, steps, b)
-        assert [type(op).__name__ + ("" if not isinstance(op, focus_module.Gemm)
-                                     else "1" if op.A == 1 else "A") for op in plan] == kinds
+        assert [kind(op) + ("" if not isinstance(op, focus_module.Gemm)
+                            else "1" if op.A == 1 else "A") for op in plan] == kinds
         dim = q**n
         shape = (dim,) if b is None else (dim, b)
         amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -597,8 +614,8 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     (q**n,): products with A = 1, with A > 1 and on no wire, with and
     without a Rows of all q**n rows before and after them (only on the
     identity's batch, as _plan makes them), a second product, plans that
-    open with no product, and Rows on lens blocks, Permute and Gather ops
-    before and after a product, on both batches."""
+    open with no product, and Rows along one axis (lens blocks) and across
+    several and Gather ops before and after a product, on both batches."""
     n = 4 if q == 2 else 3
     cols = batch or 1
     shape = (q,) * n + (() if batch is None else (batch,))
@@ -608,7 +625,7 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
         return focus_module.Gemm(mat, q**a, q ** (n - a - m) * cols)
 
     def rows() -> focus_module.Rows:
-        return focus_module.Rows(rng.permutation(q**n), 1, cols)
+        return focus_module.Rows(rng.permutation(q**n), (1, q**n, cols), (1,))
 
     plans = {
         "empty": ((), 0),
@@ -630,11 +647,11 @@ def basis_plans(q: int, batch: int | None, rng) -> dict:
     # Row maps that are one cycle through every row, so that none is its
     # own inverse.
     def block_rows(a: int, m: int) -> focus_module.Rows:
-        return focus_module.Rows(_random_cycle(q**m, rng), q**a, q ** (n - a - m) * cols)
+        view = (q**a, q**m, q ** (n - a - m) * cols)
+        return focus_module.Rows(_random_cycle(q**m, rng), view, (1,))
 
-    def permute(axes: list[int]) -> focus_module.Permute:
-        cycles = focus_module._cycles(_random_cycle(q ** len(axes), rng))
-        return focus_module._permute_op(shape, axes, cycles, q)
+    def permute(axes: list[int]) -> focus_module.Rows:
+        return focus_module.Rows(_random_cycle(q ** len(axes), rng), shape, tuple(axes))
 
     def gather_all() -> focus_module.Gather:
         return focus_module.Gather(shape, tuple(rng.permutation(n)) + tuple(range(n, len(shape))))
@@ -694,9 +711,9 @@ class TestBasisFill:
     @pytest.mark.parametrize("q", [2, 3])
     def test_planned_steps_match_on_both_starts(self, monkeypatch, q):
         # Plans as _plan makes them, permutation kernels included: a
-        # reversal (no Gemm; Permutes, or one Rows on the identity), a GHZ
-        # preparation (a Gemm, then a Rows) and random steps on unsorted
-        # lenses.  A ket runs the first two entirely in the fill.
+        # reversal (no Gemm; Rows across several axes, or one Rows on the
+        # identity), a GHZ preparation (a Gemm, then one-axis Rows) and
+        # random steps on unsorted lenses.  A ket runs the first two entirely in the fill.
         monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         rng = np.random.default_rng(SEED)
         n = 4 if q == 2 else 3
@@ -713,8 +730,9 @@ class TestBasisFill:
             assert max_entry(got, dense_product(steps, n, q)) <= 1e-10
             plan = focus_module._plan(n, q, steps, None)
             if name != "random":
-                kinds = {type(op).__name__ for op in plan}
-                assert kinds == ({"Permute"} if name == "reversal" else {"Gemm", "Rows"})
+                kinds = {kind(op) for op in plan}
+                assert kinds == ({"Rows:several"} if name == "reversal"
+                                 else {"Gemm", "Rows:one"})
                 assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == len(plan)
             for index in range(q**n):
                 got, _ = focus_module._execute(n, q, plan, None, index=index)
@@ -723,10 +741,11 @@ class TestBasisFill:
 
     def test_ghz_16_runs_in_the_fill(self):
         # At 2**16 amplitudes the planner takes its permutation kernels
-        # unforced: GHZ-16 is one product and then Rows, all in the fill.
+        # unforced: GHZ-16 is one product and then one-axis Rows, all in
+        # the fill.
         steps = [(s.lens, s.gate) for s in ghz_circuit(15).fused(5).steps]
         plan = focus_module._plan(16, 2, steps, None)
-        assert [type(op).__name__ for op in plan] == ["Gemm"] + ["Rows"] * (len(plan) - 1)
+        assert [kind(op) for op in plan] == ["Gemm"] + ["Rows:one"] * (len(plan) - 1)
         assert len(plan) > 2
         assert focus_module._basis_fill(np.empty(2**16, complex), plan, 0) == len(plan)
         for index in (0, 2**16 - 1, 0b1011001110001011):
@@ -739,26 +758,25 @@ class TestBasisFill:
 
 class TestPlanSize:
     """A plan holds nothing of the state's size: a Rows holds the q**m rows
-    of its step's gate and a Permute one index per row on its cycles.  So
-    a 40-wire plan, for a state no guard admits, is quick to make (its
-    state-sized index tables once took seconds and GiB to plan)."""
+    of its step's gate and a view of the state.  So a 40-wire plan, for a
+    state no guard admits, is quick to make (its state-sized index tables
+    once took seconds and GiB to plan)."""
 
-    @pytest.mark.parametrize("circ, kinds", [(ghz_circuit(39), {"Gemm", "Rows"}),
-                                             (reversal_circuit(40), {"Permute", "Rows"})],
+    @pytest.mark.parametrize("circ, kinds",
+                             [(ghz_circuit(39), {"Gemm", "Rows:one"}),
+                              (reversal_circuit(40), {"Rows:several", "Rows:one"})],
                              ids=["ghz", "reversal"])
     def test_plans_at_40_wires_are_small_and_quick(self, circ, kinds):
         steps = [(s.lens, s.gate) for s in circ.fused(5).steps]
         start = time.perf_counter()
         plan = focus_module._plan(40, 2, steps, None)
         assert time.perf_counter() - start < 1.0
-        assert {type(op).__name__ for op in plan} == kinds
+        assert {kind(op) for op in plan} == kinds
         assert len(plan) == len(steps)
         for op, (_, gate) in zip(plan, steps):
             if isinstance(op, focus_module.Rows):
                 assert len(op.rows) == len(gate.mat)
-                assert op.A * len(op.rows) * op.C == 2**40
-            elif isinstance(op, focus_module.Permute):
-                assert len(op.index) <= len(gate.mat)
+                assert math.prod(op.shape) == 2**40
 
 
 class TestWorkingSetGuard:

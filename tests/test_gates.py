@@ -96,12 +96,26 @@ class TestConstruction:
         ([[1, complex(0, -np.inf)], [0, 1]], "finite"),
         (np.array([["a", "b"], ["c", "d"]], dtype=object), "array of numbers"),
         ([[1, 0], [0]], "array of numbers"),
-    ], ids=["nan", "inf", "imaginary_inf", "object_strings", "ragged"])
+        ([["0", "1"], ["1", "0"]], "array of numbers"),
+        (np.array([["0", "1"], ["1", "0"]]), "array of numbers"),
+        (np.array([[b"0", b"1"], [b"1", b"0"]]), "array of numbers"),
+        (np.array([[0, "1"], [1, 0]], dtype=object), "array of numbers"),
+        (np.array([[0, b"1"], [1, 0]], dtype=object), "array of numbers"),
+    ], ids=["nan", "inf", "imaginary_inf", "object_strings", "ragged", "numeric_str_list",
+            "numeric_str_array", "numeric_bytes_array", "object_numeric_str",
+            "object_numeric_bytes"])
     def test_refuses_what_a_state_refuses(self, make, mat, message):
         # A NaN gate would print a state as "nan" lines that
-        # state_from_text refuses; bad arrays must not escape as ValueError.
+        # state_from_text refuses; bad arrays must not escape as ValueError,
+        # and strings are not numbers, even where numpy would parse them.
         with pytest.raises(ShapeMismatch, match=message):
             make(mat)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_accepts_every_numeric_dtype(self, dtype):
+        assert np.array_equal(Gate(np.eye(2, dtype=dtype)).mat, np.eye(2))
+        assert np.array_equal(gate_from_matrix([[0, 1], [1.0, 0j]]).mat, [[0, 1], [1, 0]])
 
     def test_declared_arity_must_match(self):
         with pytest.raises(ShapeMismatch):

@@ -27,6 +27,7 @@ from qlens import (
     swap,
     toffoli,
 )
+import qlens.gates as gates_module
 from qlens.oracle import inverse_permutation
 from _helpers import max_entry, random_gate, random_lens
 
@@ -135,10 +136,12 @@ class TestBuildFullMatrix:
         with pytest.raises(SizeGuardExceeded):
             perm_matrix(15, tuple(range(15)))
 
-    def test_guard_is_configurable(self):
+    def test_guard_is_configurable(self, monkeypatch):
+        monkeypatch.setattr(gates_module, "MAX_DENSE_BITS", 3)
         with pytest.raises(SizeGuardExceeded):
-            build_full_matrix(Lens(4, (0,)), hadamard(), max_bits=3)
-        assert build_full_matrix(Lens(4, (0,)), hadamard(), max_bits=4).n == 4
+            build_full_matrix(Lens(4, (0,)), hadamard())
+        monkeypatch.setattr(gates_module, "MAX_DENSE_BITS", 4)
+        assert build_full_matrix(Lens(4, (0,)), hadamard()).n == 4
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):

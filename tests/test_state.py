@@ -129,11 +129,12 @@ class TestStateValues:
         rng = np.random.default_rng(SEED)
         assert random_state(4, 2, rng).is_unit()
 
-    def test_allocation_guard(self):
+    def test_allocation_guard(self, monkeypatch):
         with pytest.raises(SizeGuardExceeded):
             check_allocation(31, 2)
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 16)
         with pytest.raises(SizeGuardExceeded):
-            check_allocation(5, 2, max_entries=16)
+            check_allocation(5, 2)
 
     def test_amplitude_lookup(self):
         s = ket((1, 0))
@@ -160,6 +161,28 @@ class TestStateValues:
     def test_arithmetic_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ket((0,)) + ket((0, 0))
+
+    @pytest.mark.parametrize("make", [lambda amps: State(1, 2, amps), from_amplitudes],
+                             ids=["State", "from_amplitudes"])
+    @pytest.mark.parametrize("amps", [
+        ["1j", "0"],
+        np.array(["1", "0"]),
+        np.array([b"1", b"0"]),
+        np.array(["1", 0], dtype=object),
+        np.array([b"1", 0], dtype=object),
+    ], ids=["str_list", "str_array", "bytes_array", "object_str", "object_bytes"])
+    def test_numeric_strings_rejected(self, make, amps):
+        # numpy would parse each of these as numbers
+        with pytest.raises(ShapeMismatch, match="array of numbers"):
+            make(amps)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_numbers_of_every_numeric_dtype_accepted(self, dtype):
+        amps = np.array([1, 0], dtype=dtype)
+        assert np.array_equal(State(1, 2, amps).amps, [1, 0])
+        assert np.array_equal(from_amplitudes(amps).amps, [1, 0])
+        assert np.array_equal(from_amplitudes([1, 0.0, 0j, 0]).amps, [1, 0, 0, 0])
 
     def test_from_amplitudes_rejects_non_power(self):
         with pytest.raises(ShapeMismatch):
