@@ -51,6 +51,8 @@ from .state import (
     index_to_tuple,
     ket,
     random_state,
+    state_to_text,
+    support_to_text,
     tuple_to_index,
 )
 
@@ -315,16 +317,22 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
     # run_basis carries its ket through every op before the second product.
     # Past _PERM_MIN_SIZE a reversal plans Rows across several axes, and a
     # ladder of adders |a, b> -> |a, a + b mod q> (CNOTs at q = 2) one-axis
-    # Rows, on middle blocks (A > 1) as well; random steps follow.
+    # Rows, on middle blocks (A > 1) as well; random steps follow.  The
+    # text printed from a covered run's support must be the reference's:
+    # at least for one product between the ladder and the reversal, whose
+    # columns hold an exact 0 and a magnitude below the threshold 0.3.
     basis_run = _Law("basis_run_vs_reference", 1e-12)
+    text = _Law("basis_text_vs_reference", 0.0)
     rng, kets = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
+    texts = np.random.default_rng([seed, 6])
     for q_big in (2, 3):
         n = next(k for k in count() if q_big**k >= _PERM_MIN_SIZE)
         a, b = np.divmod(np.arange(q_big**2), q_big)
         swap_q = Gate(np.eye(q_big**2)[b * q_big + a], 2, 2, q_big)
         add_q = Gate(np.eye(q_big**2)[a * q_big + (a + b) % q_big].T, 2, 2, q_big)
-        for prefix in ([circuits.Step(Lens(n, (i, n - 1 - i)), swap_q) for i in range(n // 2)],
-                       [circuits.Step(Lens(n, (i, i + 1)), add_q) for i in range(n - 1)]):
+        reverse = [circuits.Step(Lens(n, (i, n - 1 - i)), swap_q) for i in range(n // 2)]
+        ladder = [circuits.Step(Lens(n, (i, i + 1)), add_q) for i in range(n - 1)]
+        for prefix in (reverse, ladder):
             circ = circuits.Circuit(n, (*prefix, *_random_mixed_circuit(n, q_big, rng).steps),
                                     q_big)
             where = f"n={n} q={q_big} lenses={[list(st.lens.idx) for st in circ.steps]}"
@@ -335,10 +343,32 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                 basis_run.see(got.max_dev(want), f"{where} basis={v}")
                 basis_run.see_bool(np.array_equal(got.amps, circ.run(ket(v, q_big)).amps),
                                    f"{where} basis={v}: run_basis differs from run")
+                text.see_bool(all(_text_matches(circ, v)), f"{where} basis={v}")
+        mat = texts.standard_normal((q_big**2,) * 2) + 1j * texts.standard_normal((q_big**2,) * 2)
+        mat[0], mat[1] = 0, 0.2 * np.exp(2j * np.pi * texts.random(q_big**2))
+        step = circuits.Step(_random_lens(n, 2, texts), Gate(mat, 2, 2, q_big))
+        circ = circuits.Circuit(n, (*ladder, step, *reverse), q_big)
+        for v in (tuple(map(int, texts.integers(0, q_big, n))) for _ in range(3)):
+            text.see_bool(_text_matches(circ, v) == [True, True],
+                          f"n={n} q={q_big} product on {list(step.lens.idx)} basis={v}")
 
     return [law.result() for law in
             (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-             natural, classical, fusion, collapse, basis_run)]
+             natural, classical, fusion, collapse, basis_run, text)]
+
+
+def _text_matches(circ: circuits.Circuit, v: tuple[int, ...]) -> list[bool]:
+    """Whether circ's text from ket(v), printed from its support, is at
+    thresholds 0 and 0.3 state_to_text's of the reference run of circ's
+    fused steps, whose gates round as its plan's do; [] if not covered."""
+    support = circ._basis_support(v)
+    if support is None:
+        return []
+    want = ket(v, circ.q)
+    for step in circ._clusters:
+        want = focus_apply_reference(step.lens, step.gate, want)
+    return [support_to_text(circ.n, circ.q, *support, t) == state_to_text(want, t)
+            for t in (0.0, 0.3)]
 
 
 def _random_cycle(size: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,11 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _collapse, _execute, _permutation_rows, _plan, curry
+from .focus import _basis_walk, _collapse, _execute, _permutation_rows, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
-from .state import State, check_allocation, tuple_to_index, zero_state
+from .state import State, check_allocation, check_working_set, tuple_to_index, zero_state
 
 # run and to_gate execute a circuit fused to clusters of k wires with
 # q**k <= 2**FUSE_WIRES.  perfbench random_layered (30 dense steps, n = 20,
@@ -87,11 +87,33 @@ class Circuit:
         the plan's second product, the ket carried through them
         (focus._basis_fill), and buffers are kept as for run.  ``v`` is
         checked as ket checks it."""
+        return State(self.n, self.q, self._run_plan(None, None, self._basis_index(v)),
+                     _trusted=True)
+
+    def _basis_index(self, v: Sequence[int]) -> int:
         if len(v) != self.n:
             raise ShapeMismatch(f"circuit on {self.n} wires run on a basis tuple of {len(v)}")
         check_allocation(self.n, self.q)
-        index = tuple_to_index(v, self.q)
-        return State(self.n, self.q, self._run_plan(None, None, index), _trusted=True)
+        return tuple_to_index(v, self.q)
+
+    def _basis_support(self, v: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """run_basis(v)'s nonzero amplitudes, bit-identical, as flat indices,
+        sorted, and values, when focus._basis_walk covers the whole plan;
+        else None.  Checks ``v`` and the working set as run_basis does.  The
+        plan goes into the cache entry run_basis reads, a kept scratch stays
+        there, and a run_basis after this counts as the plan's second run."""
+        index = self._basis_index(v)
+        check_working_set(2, self.q**self.n)
+        plan, scratch = self._programs.pop(None, (None, None))
+        if plan is None:
+            plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), None)
+        self._programs[None] = (plan, scratch)
+        flat, vals, done = _basis_walk(plan, 1, index)
+        if done < len(plan):
+            return None
+        order = np.argsort(flat, axis=None)
+        vals = np.ones(flat.size, np.complex128) if vals is None else vals
+        return flat.reshape(-1)[order], vals.reshape(-1)[order]
 
     def fused(self, max_wires: int) -> Circuit:
         """An equivalent circuit whose runs of dense steps, and runs of 0/1

@@ -20,6 +20,7 @@ Custom gate names are unique and may not be builtin gate names.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import checks, circuits
+from . import circuits
 from .errors import (
     ArityMismatch,
     ParseError,
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .gates import Gate, builtin, builtin_names, check_dense_size, parametric_wires
 from .lens import Lens
-from .state import State, check_text_alphabet, state_from_text, state_to_text
+from .state import State, check_text_alphabet, state_from_text, state_to_text, support_to_text
 
 
 def parse_circuit(path: str | Path) -> circuits.Circuit:
@@ -186,31 +187,33 @@ def circuit_to_spec(circ: circuits.Circuit) -> dict:
     return doc
 
 
-def _run_input(value: str, circ: circuits.Circuit) -> State:
-    """Run circ on the --input value: a basis string, run without building
-    its ket, or a state file."""
-    symbols = set("0123456789"[: circ.q])
-    if len(value) == circ.n and set(value) <= symbols:
-        return circ.run_basis(tuple(int(c) for c in value))
-    if os.path.exists(value):
-        return circ.run(state_from_text(Path(value).read_text(), circ.q, circ.n))
-    raise ParseError(
-        f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
-        f"nor a readable state file"
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Print the final state of circ run on --input: a basis string, from
+    its support if the basis walk covers the plan (no state-sized array, no
+    scan), else run without building its ket; or a state file.
+    state_to_text gets only States (perfbench/tracing.py reads their amps)."""
     circ = parse_circuit(args.circuit)
     check_text_alphabet(circ.q)  # before the run whose output it could not print
-    final = _run_input(args.input, circ)
-    text = state_to_text(final, threshold=args.threshold)
+    value, symbols = args.input, set("0123456789"[: circ.q])
+    if len(value) == circ.n and set(value) <= symbols:
+        v = tuple(int(c) for c in value)
+        final = circ._basis_support(v) or circ.run_basis(v)
+    elif os.path.exists(value):
+        final = circ.run(state_from_text(Path(value).read_text(), circ.q, circ.n))
+    else:
+        raise ParseError(
+            f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
+            f"nor a readable state file"
+        )
+    text = (state_to_text(final, threshold=args.threshold) if isinstance(final, State)
+            else support_to_text(circ.n, circ.q, *final, args.threshold))
     if text:
         print(text)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import checks  # here, so that no other command compiles the law suites
     print(f"seed: {args.seed}")
     scopes = [args.scope]
     if args.oracle and args.scope not in ("oracle", "all"):
@@ -274,6 +277,11 @@ def _magnitude(text: str) -> float:
     return value
 
 
+# sorted(checks.SCOPES) + ["all"], spelt out so that the parser needs no checks import.
+_SCOPES = ("examples", "focus-laws", "lens-laws", "monoid", "oracle", "unitarity", "all")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlens",
@@ -290,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="run a verification suite")
-    check.add_argument("scope", choices=sorted(checks.SCOPES) + ["all"])
+    check.add_argument("scope", choices=_SCOPES)
     check.add_argument("--seed", type=_int_at_least(0), default=0)
     check.add_argument("--trials", type=_int_at_least(1), default=200)
     check.add_argument("--max-wires", type=_int_at_least(2), default=None)

@@ -372,21 +372,20 @@ def _moved(op: Gather | Rows, flat: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index(digits, op.shape)
 
 
-def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Rows, ...],
-                index: int | None) -> int:
-    """Write basis kets into ``buf``, of shape (q**n, q**n) for the
-    identity's columns (``index`` None) or (q**n,) for the one ket at
-    ``index``, carried through the ops that open ``plan`` up to its second
-    product; return how many ops it covered.
+def _basis_walk(plan: tuple[Gather | Gemm | Rows, ...], cols: int,
+                index: int | None) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """The flat indices and values (None: all 1) of the nonzero amplitudes
+    of basis kets, the identity's ``cols`` columns (``index`` None) or the
+    one ket at ``index``, carried through the ops that open ``plan`` up to
+    its second product, and how many ops that covered.
 
-    The fill follows the flat indices of the kets' nonzero amplitudes
-    through each Gather or Rows, the ops that only move amplitudes
-    (_moved).  The first Gemm expands them as focus_on_basis re-embeds a
-    gate applied locally: an amplitude at (a, j, c) of its (A, q**m, C) view
-    becomes mat[:, j] at (a, :, c), each entry one product term times 1.0,
-    so the result is bit-identical to running those ops.  A second product is not written:
-    its sums may round differently from the matmul's."""
-    cols = buf.size // len(buf)
+    The walk follows the flat indices through each Gather or Rows, the ops
+    that only move amplitudes (_moved, a bijection, so they stay distinct).
+    The first Gemm expands them as focus_on_basis re-embeds a gate applied
+    locally: an amplitude at (a, j, c) of its (A, q**m, C) view becomes
+    mat[:, j] at (a, :, c), each entry one product term times 1.0, so the
+    values are bit-identical to running those ops.  A second product is not
+    walked: its sums may round differently from the matmul's."""
     flat = np.arange(cols) * (cols + 1) if index is None else np.array([index])
     vals, done = None, 0
     for op in plan:
@@ -399,6 +398,15 @@ def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Rows, ...],
         else:
             break
         done += 1
+    return flat, vals, done
+
+
+def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Rows, ...],
+                index: int | None) -> int:
+    """Write the kets of _basis_walk into ``buf``, of shape (q**n, q**n) for
+    the identity's columns (``index`` None) or (q**n,) for the one ket at
+    ``index``; return how many ops of ``plan`` that covered."""
+    flat, vals, done = _basis_walk(plan, buf.size // len(buf), index)
     buf.fill(0)
     buf.reshape(-1)[flat] = 1 if vals is None else vals
     return done

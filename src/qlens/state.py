@@ -224,7 +224,6 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
     shortest round-trip precision, so parsing the text recovers the state
     bit-exactly.  Requires q <= 10 (single-character digits).
     """
-    check_text_alphabet(state.q)
     amps, step = state.amps, _CHUNK_BYTES // 16
     mag, keep = np.empty(min(step, amps.size)), []
     for lo in range(0, amps.size, step):
@@ -232,9 +231,19 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
         part = np.abs(chunk, out=mag[:chunk.size])
         keep.append(lo + np.flatnonzero(~((part == 0.0) | (part < threshold))))
     keep = np.concatenate(keep)
+    return support_to_text(state.n, state.q, keep, amps[keep], threshold)
+
+
+def support_to_text(n: int, q: int, indices: np.ndarray, values: np.ndarray,
+                    threshold: float = 0.0) -> str:
+    """state_to_text of the n-wire state that holds ``values`` at the
+    ascending flat ``indices`` and 0 elsewhere, without building it."""
+    check_text_alphabet(q)
+    mag = np.abs(values)
+    keep = ~((mag == 0.0) | (mag < threshold))
     lines = []
-    for i, a in zip(keep.tolist(), state.amps[keep]):
-        digits = "".join(str(d) for d in index_to_tuple(i, state.n, state.q))
+    for i, a in zip(indices[keep].tolist(), values[keep]):
+        digits = "".join(str(d) for d in index_to_tuple(i, n, q))
         lines.append(f"{digits} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines)
 

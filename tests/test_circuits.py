@@ -515,6 +515,94 @@ class TestRunBasis:
             ghz_circuit(2).run_basis((0, symbol, 0))
 
 
+def _permutation_ladders(n: int, q: int, rng: np.random.Generator) -> dict:
+    """GHZ (a Fourier gate on wire 0, then a ladder of adders |a, b> ->
+    |a, a + b mod q>: CNOTs at q = 2), the same ladder after a random gate,
+    the adder ladder alone and the reversal, on n wires."""
+    a, b = np.divmod(np.arange(q * q), q)
+    add = Gate(np.eye(q * q)[a * q + (a + b) % q].T, 2, 2, q)
+    swap_q = Gate(np.eye(q * q)[b * q + a], 2, 2, q)
+    fourier = Gate(np.exp(2j * np.pi * np.outer(a[:q], a[:q]) / q) / math.sqrt(q), 1, 1, q)
+    ladder = tuple(Step(Lens(n, (i, i + 1)), add) for i in range(n - 1))
+    return {"ghz": Circuit(n, (Step(Lens(n, (0,)), fourier), *ladder), q),
+            "random_then_ladder": Circuit(n, (Step(Lens(n, (0,)), random_gate(1, q, rng)),
+                                              *ladder), q),
+            "ladder": Circuit(n, ladder, q),
+            "reversal": Circuit(n, tuple(Step(Lens(n, (i, n - 1 - i)), swap_q)
+                                         for i in range(n // 2)), q)}
+
+
+class TestBasisSupport:
+    """Circuit._basis_support(v) is the support of run_basis(v), bit for
+    bit, wherever the basis walk covers the plan, and its text is
+    state_to_text's of the dense run."""
+
+    THRESHOLDS = (0.0, 0.3, 0.5, 0.8)
+
+    def assert_matches_dense(self, circ, v):
+        support, dense = circ._basis_support(v), circ.run_basis(v)
+        plan = circ._programs[None][0]
+        assert (support is None) == (sum(isinstance(op, Gemm) for op in plan) > 1)
+        if support is None:
+            return False
+        indices, values = support
+        assert (np.diff(indices) > 0).all()
+        amps = np.zeros(dense.amps.size, complex)
+        amps[indices] = values
+        assert np.array_equal(amps, dense.amps)
+        for threshold in self.THRESHOLDS:
+            assert (state_module.support_to_text(circ.n, circ.q, indices, values, threshold)
+                    == state_module.state_to_text(dense, threshold))
+        return True
+
+    @pytest.mark.parametrize("name", sorted(_basis_circuits()))
+    def test_matches_run_basis_for_every_basis_tuple(self, monkeypatch, name):
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+        monkeypatch.setattr(focus_module, "_RUN_MIN", 2)
+        circ = _basis_circuits()[name]
+        for v in all_basis_tuples(circ.n, circ.q):
+            self.assert_matches_dense(circ, v)
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 3)])
+    def test_ladders_below_the_permutation_size_for_every_basis_tuple(self, monkeypatch, q, n):
+        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+        for circ in _permutation_ladders(n, q, np.random.default_rng(SEED)).values():
+            for v in all_basis_tuples(n, q):
+                assert self.assert_matches_dense(circ, v)
+
+    @pytest.mark.parametrize("q, n", [(2, 14), (2, 16), (3, 9)])
+    def test_ladders_past_the_permutation_size(self, q, n):
+        rng = np.random.default_rng(SEED)
+        for circ in _permutation_ladders(n, q, rng).values():
+            for v in [(0,) * n, (q - 1,) * n] + [tuple(map(int, rng.integers(0, q, n)))
+                                                 for _ in range(4)]:
+                assert self.assert_matches_dense(circ, v)
+
+    def test_checks_the_tuple_and_working_set_as_run_basis_does(self, monkeypatch):
+        circ = ghz_circuit(2)
+        with pytest.raises(ShapeMismatch):
+            circ._basis_support((0, 0))
+        with pytest.raises(IndexOutOfRange):
+            circ._basis_support((0, 2, 0))
+        with pytest.raises(IndexOutOfRange):
+            circ._basis_support((0, 0.5, 0))
+        with pytest.raises(SizeGuardExceeded):
+            Circuit(31, ())._basis_support((0,) * 31)
+        monkeypatch.setattr(state_module, "MAX_STATE_ENTRIES", 2 * 2**3 - 1)
+        for run in (circ.run_basis, circ._basis_support):
+            with pytest.raises(SizeGuardExceeded):
+                run((0, 0, 0))
+
+    def test_takes_and_keeps_the_plan_and_scratch(self):
+        circ = ghz_circuit(3)
+        for _ in range(2):
+            circ.run_basis((0,) * 4)
+        plan, scratch = circ._programs[None]
+        assert scratch is not None
+        assert circ._basis_support((1, 0, 0, 1)) is None
+        assert circ._programs[None][0] is plan and circ._programs[None][1] is scratch
+
+
 class TestFusion:
     """Circuit.fused clusters dense steps; run and to_gate execute the fusion."""
 

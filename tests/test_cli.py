@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +27,15 @@ from qlens import (
     state_to_text,
 )
 from qlens.cli import (
+    _build_parser,
     circuit_from_spec,
     circuit_to_spec,
     example_circuit,
     main,
     parse_circuit,
 )
+import qlens.circuits as circuits_module
+import qlens.cli as cli_module
 import qlens.state as state_module
 from qlens.gates import builtin_names
 from _helpers import random_gate, random_lens
@@ -351,19 +358,82 @@ class TestRunCommand:
         assert runs == []
 
     @pytest.mark.parametrize("wires", [17, 20])
-    def test_ghz_run_allocates_one_state_sized_array(self, tmp_path, monkeypatch, capsys,
-                                                     wires):
-        # No input ket is built and no op runs as a pass: the basis fill
-        # carries the kets through the plan's one Gemm and the Rows after
-        # it, and writes the result into the one buffer it allocates.
+    def test_ghz_run_allocates_no_state_sized_array(self, tmp_path, monkeypatch, capsys,
+                                                    wires):
+        # No input ket is built and no op runs as a pass: the basis walk
+        # carries the ket through the plan's one Gemm and the Rows after
+        # it, and the text is printed from the support it ends with.
         ghz_path = str(tmp_path / "ghz.json")
         assert main(["examples", "ghz", "--n", str(wires - 1), "--out", ghz_path]) == 0
         capsys.readouterr()
         sizes = count_allocations(monkeypatch)
         assert main(["run", ghz_path, "--input", "0" * wires]) == 0
-        assert sizes.count(2**wires) == 1
+        assert sizes.count(2**wires) == 0
         assert capsys.readouterr().out.split() == ["0" * wires, "0.7071067811865476", "0.0",
                                                     "1" * wires, "0.7071067811865476", "0.0"]
+
+    def test_basis_run_with_two_products_runs_dense(self, tmp_path, monkeypatch, capsys):
+        # A dense gate after the GHZ ladder is the plan's second Gemm, which
+        # the basis walk does not cover: the run falls back to run_basis,
+        # whose fill and second product each write a state-sized buffer, and
+        # prints what the same ket from a state file prints.
+        path = tmp_path / "ghz_u.json"
+        assert main(["examples", "ghz", "--n", "16", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["gates"] = [{"name": "u", "wires": 1,
+                         "matrix": [[0.6, 0.0], [0.8, 0.0], [0.8, 0.0], [-0.6, 0.0]]}]
+        doc["ops"].append({"gate": "u", "lens": [16]})
+        path.write_text(json.dumps(doc))
+        state_path = tmp_path / "input.state"
+        state_path.write_text(state_to_text(ket((0,) * 17)))
+        capsys.readouterr()
+        sizes = count_allocations(monkeypatch)
+        assert main(["run", str(path), "--input", "0" * 17]) == 0
+        assert sizes.count(2**17) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 4
+        assert main(["run", str(path), "--input", str(state_path)]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("extra_gate", [False, True], ids=["covered", "fallback"])
+    def test_run_plans_once(self, tmp_path, monkeypatch, capsys, extra_gate):
+        path = tmp_path / "ghz.json"
+        assert main(["examples", "ghz", "--n", "14", "--out", str(path)]) == 0
+        if extra_gate:
+            doc = json.loads(path.read_text())
+            doc["ops"].append({"gate": "hadamard", "lens": [14]})
+            path.write_text(json.dumps(doc))
+        calls = []
+        real = circuits_module._plan
+        monkeypatch.setattr(circuits_module, "_plan",
+                            lambda *a: calls.append(a[3]) or real(*a))
+        covered = []
+        real_support = Circuit._basis_support
+
+        def support(self, v):
+            out = real_support(self, v)
+            covered.append(out is not None)
+            return out
+
+        monkeypatch.setattr(Circuit, "_basis_support", support)
+        capsys.readouterr()
+        assert main(["run", str(path), "--input", "0" * 15]) == 0
+        assert calls == [None]
+        assert covered == [not extra_gate]
+        assert len(capsys.readouterr().out.splitlines()) == (4 if extra_gate else 2)
+
+    def test_ghz_20_text_from_the_support_equals_the_dense_text(self, tmp_path, capsys):
+        ghz_path = str(tmp_path / "ghz.json")
+        assert main(["examples", "ghz", "--n", "19", "--out", ghz_path]) == 0
+        for digits in ("0" * 20, "1011" * 5):
+            state_path = tmp_path / "input.state"
+            state_path.write_text(f"{digits} 1.0 0.0\n")
+            capsys.readouterr()
+            assert main(["run", ghz_path, "--input", digits]) == 0
+            sparse = capsys.readouterr().out
+            assert main(["run", ghz_path, "--input", str(state_path)]) == 0
+            assert capsys.readouterr().out == sparse
+            assert len(sparse.splitlines()) == 2
 
     def test_run_past_the_working_set_guard_exit_code(self, circuit_file, tmp_path,
                                                       monkeypatch, capsys):
@@ -468,6 +538,36 @@ class TestCheckCommand:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["check", "not-a-scope"]) == 2
+
+    def test_scope_choices_are_the_suites(self):
+        from qlens import checks
+
+        names = sorted(checks.SCOPES) + ["all"]
+        assert list(cli_module._SCOPES) == names
+        assert [_build_parser().parse_args(["check", name]).scope for name in names] == names
+
+    def test_cli_import_leaves_the_suites_out(self):
+        path = [str(Path(__file__).resolve().parent.parent / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qlens.cli; print('qlens.checks' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_parser_built_once_keeps_calls_apart(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        ghz_path = str(tmp_path / "ghz.json")
+        assert main(["examples", "ghz", "--n", "2", "--out", ghz_path]) == 0
+        for _ in range(2):
+            assert main(["check", "not-a-scope"]) == 2
+            assert main(["run", ghz_path, "--input", "000", "--threshold", "-1"]) == 2
+        capsys.readouterr()
+        assert main(["run", ghz_path, "--input", "000", "--threshold", "0.9"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["run", ghz_path, "--input", "000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     @pytest.mark.parametrize("argv", [
         ["focus-laws", "--max-wires", "-3"],

@@ -23,7 +23,7 @@ from qlens import (
     tuple_to_index,
     zero_state,
 )
-from qlens.state import check_allocation
+from qlens.state import check_allocation, support_to_text
 import qlens.state as state_module
 
 SEED = 20240521
@@ -268,6 +268,24 @@ class TestTextFormat:
                     if not (abs(a) == 0.0 or abs(a) < threshold)
                 ]
                 assert state_to_text(s, threshold) == "\n".join(want)
+
+    def test_support_text_matches_the_state_text(self):
+        # A support may list exact zeros (a gate column's): they are dropped
+        # as the scan drops a state's, at every threshold (one of them the
+        # largest magnitude).
+        rng = np.random.default_rng(SEED)
+        for q, n in ((2, 4), (3, 3)):
+            amps = random_state(n, q, rng).amps.copy()
+            amps[rng.random(amps.size) < 0.3] = 0
+            amps[::4] *= 1e-3
+            s = State(n, q, amps)
+            indices = np.flatnonzero((rng.random(amps.size) < 0.5) | (amps != 0))
+            for threshold in (0.0, 0.05, 0.2, float(np.abs(amps).max()), math.inf):
+                assert (support_to_text(n, q, indices, amps[indices], threshold)
+                        == state_to_text(s, threshold))
+        assert support_to_text(3, 2, np.array([], int), np.array([], complex)) == ""
+        with pytest.raises(ShapeMismatch, match="q <= 10"):
+            support_to_text(1, 11, np.array([0]), np.array([1.0 + 0j]))
 
     @pytest.mark.parametrize("q, n, chunk", [(2, 4, 64), (3, 3, 64), (2, 17, None)])
     def test_text_scanned_in_chunks_matches_one_pass(self, monkeypatch, q, n, chunk):
