@@ -14,7 +14,6 @@ import numpy as np
 
 from . import circuits
 from .focus import (
-    _PERM_MIN_SIZE,
     curry,
     focus_apply,
     focus_apply_reference,
@@ -230,10 +229,10 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
 
         classical.see(_classical_dev(lens, rng.permutation(q**m), v, q), where)
 
-    # Focusing takes the in-place permutation kernel only from
-    # _PERM_MIN_SIZE amplitudes up, which the draws above reach only for a
-    # large max_wires; these draws start at the first n that reaches it.
-    n = next(k for k in count() if q**k >= _PERM_MIN_SIZE)
+    # The draws above stay on states of at most max_wires wires; these run
+    # the permutation kernels on at least 2**14 amplitudes, so that each row
+    # block they move is a strided view of many amplitudes.
+    n = next(k for k in count() if q**k >= 2**14)
     for m in range(min(3, n) + 1):
         lens = _random_lens(n, m, rng)
         if m > 1 and lens.is_sorted():
@@ -267,10 +266,10 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         fusion.see(circ.run(s).max_dev(want), f"{where} default")
         for k in range(2, 6):
             fusion.see(circ.fused(k).run(s).max_dev(want), f"{where} k={k}")
-    # States past _PERM_MIN_SIZE and with runs past _RUN_MIN, as one vector
-    # and as three columns: both permutation kernels, products on a lens
-    # block where it sits, and the layout each gather leaves for the next
-    # step.
+    # States of 2**12-3**10 amplitudes, whose runs pass _RUN_MIN, as one
+    # vector and as three columns: both permutation kernels on long row
+    # blocks, products on a lens block where it sits, and the layout each
+    # gather leaves for the next step.
     for q_big, low, high in ((2, 12, 14), (3, 9, 10)):
         for batch in (1, 3):
             circ = _random_mixed_circuit(int(rng.integers(low, high + 1)), q_big, rng)
@@ -292,11 +291,10 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                     got = fused._run_plan(batch, amps)
                 fusion.see(float(np.max(np.abs(got - want))), f"{where} k={k or 'default'}")
 
-    # On the identity's batch the planner composes every row move into
-    # Rows ops; to_gate past _PERM_MIN_SIZE takes that path for permutation
-    # steps too.  Runs that start on basis kets (to_gate, run_basis) have
-    # their opening Rows, first product and the Rows after it written by
-    # the basis fill.
+    # On the identity's batch the planner composes every row move,
+    # Gathers and permutation steps alike, into Rows ops.  Runs that start
+    # on basis kets (to_gate, run_basis) have their opening Rows, first
+    # product and the Rows after it written by the basis fill.
     collapse = _Law("identity_plan_collapse", 1e-10)
     rng = np.random.default_rng([seed, 2])
     kets = np.random.default_rng([seed, 3])
@@ -315,10 +313,11 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                              f"{where} basis={v}")
 
     # run_basis carries its ket through every op before the second product.
-    # Past _PERM_MIN_SIZE a reversal plans Rows across several axes, and a
-    # ladder of adders |a, b> -> |a, a + b mod q> (CNOTs at q = 2) one-axis
-    # Rows, on middle blocks (A > 1) as well; random steps follow.  The
-    # text printed from a covered run's support must be the reference's:
+    # On at least 2**14 amplitudes, so that the walk moves indices through
+    # long ladders and reversals, a reversal plans Rows across several axes,
+    # and a ladder of adders |a, b> -> |a, a + b mod q> (CNOTs at q = 2)
+    # one-axis Rows, on middle blocks (A > 1) as well; random steps follow.
+    # The text printed from a covered run's support must be the reference's:
     # at least for one product between the ladder and the reversal, whose
     # columns hold an exact 0 and a magnitude below the threshold 0.3.
     basis_run = _Law("basis_run_vs_reference", 1e-12)
@@ -326,7 +325,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
     rng, kets = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
     texts = np.random.default_rng([seed, 6])
     for q_big in (2, 3):
-        n = next(k for k in count() if q_big**k >= _PERM_MIN_SIZE)
+        n = next(k for k in count() if q_big**k >= 2**14)
         a, b = np.divmod(np.arange(q_big**2), q_big)
         swap_q = Gate(np.eye(q_big**2)[b * q_big + a], 2, 2, q_big)
         add_q = Gate(np.eye(q_big**2)[a * q_big + (a + b) % q_big].T, 2, 2, q_big)

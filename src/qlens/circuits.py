@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _basis_walk, _collapse, _execute, _permutation_rows, _plan, curry
+from .focus import _basis_walk, _collapse, _execute, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
@@ -136,7 +136,7 @@ class Circuit:
         items: list[tuple[list[Step], dict[int, None], bool]] = []
         for step in self.steps:
             wires = dict.fromkeys(step.lens.idx)
-            dense = _permutation_rows(step.gate.mat) is None
+            dense = step.gate.rows is None
             fits = [(len(items[j][1].keys() & wires), j)
                     for j in range(_earliest_join(items, wires), len(items))
                     if items[j][2] == dense and len(items[j][1].keys() | wires) <= max_wires]

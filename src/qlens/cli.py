@@ -100,7 +100,9 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
             lens = Lens(wires, tuple(raw_lens))
         except QLensError as exc:
             raise type(exc)(f"{loc}.lens: {exc}") from None
-        gate = table[name] if name in table else _resolve_builtin(name, q, lens, loc)
+        if name not in table:  # a builtin, built once per file
+            table[name] = _resolve_builtin(name, q, lens, loc)
+        gate = table[name]
         if gate.wires_in != lens.m:
             raise _arity_mismatch(loc, name, gate.wires_in, lens)
         steps.append(circuits.Step(lens, gate, name))

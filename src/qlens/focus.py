@@ -122,13 +122,6 @@ def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
         raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, state q={q}")
 
 
-# Below this many amplitudes (batch axis included) a permutation step is
-# planned as a dense one: detecting the permutation and building the row
-# views cost about 25 us a step, while gather + GEMM of a CNOT costs 8.5 us
-# at 2**8 amplitudes, 32 us at 2**13 and 61 us at 2**14 (kernel there:
-# 56 us).  Circuit.run plans once, but focus_apply and _collapse plan on
-# every call.
-_PERM_MIN_SIZE = 1 << 14
 # A lens block on contiguous axes views the state as (A, q**m, C), C being
 # the contiguous run of amplitudes (batch axis included) behind each row.
 # From this run length up, a dense step multiplies the block where it sits
@@ -139,20 +132,6 @@ _PERM_MIN_SIZE = 1 << 14
 # wires: 4.9 against 6.0 ms at 2**9, 6.6 against 6.0 ms at 2**7) and lost
 # up to 8x at C <= 2**2.
 _RUN_MIN = 1 << 9
-
-
-def _permutation_rows(mat: np.ndarray) -> np.ndarray | None:
-    """rows with mat[i, rows[i]] == 1, when mat is a 0/1 permutation matrix.
-
-    The nonzero count comes first, so a dense gate is turned away in one
-    pass; q**m nonzero entries, each row's first one equal to 1 and no
-    column met twice leave nothing but a permutation."""
-    if np.count_nonzero(mat) != len(mat):
-        return None
-    rows = (mat != 0).argmax(axis=1)
-    if (mat[np.arange(len(mat)), rows] == 1).all() and np.unique(rows).size == len(mat):
-        return rows
-    return None
 
 
 def _cycles(rows: np.ndarray) -> list[list[int]]:
@@ -237,17 +216,17 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     axis k, and a step's lens wires sit on axes of (A, q**m, C), C the run
     of amplitudes behind them.  An identity step gives no op.
 
-    A step whose gate is a 0/1 permutation matrix only relabels basis
-    tuples (detected from _PERM_MIN_SIZE amplitudes up), and leaves
-    ``order`` alone: it is a Rows of its row map (q**m entries).  Rotating
-    the non-trivial cycles of row blocks in place, each block a strided
-    view on the sorted lens axes of the full (q,)*n shape, copies one block
-    per moved row plus one per cycle, while one np.take pass along the
-    middle axis of the (A, q**m, C) view copies every row into the other
-    buffer.  So the step takes the one-axis view when its lens wires sit on
-    adjacent axes and the cycles would copy at least q**m blocks (a fused
-    GHZ cluster: 30 of 32 rows moved, in 6 cycles), and the lens axes
-    otherwise (a lone CNOT, swap or Toffoli: 3 blocks of 4 or 8).
+    A step whose gate is a 0/1 permutation matrix (Gate.rows) only relabels
+    basis tuples, at every size, and leaves ``order`` alone: it is a Rows of
+    its row map (q**m entries).  Rotating the non-trivial cycles of row
+    blocks in place, each block a strided view on the sorted lens axes of
+    the full (q,)*n shape, copies one block per moved row plus one per
+    cycle, while one np.take pass along the middle axis of the (A, q**m, C)
+    view copies every row into the other buffer.  So the step takes the
+    one-axis view when its lens wires sit on adjacent axes and the cycles
+    would copy at least q**m blocks (a fused GHZ cluster: 30 of 32 rows
+    moved, in 6 cycles), and the lens axes otherwise (a lone CNOT, swap or
+    Toffoli: 3 blocks of 4 or 8).
 
     A dense step whose lens wires already sit on adjacent axes, in any
     order, runs one matrix product where they sit (Gemm), when they lead
@@ -298,7 +277,7 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     for k, (lens, gate) in enumerate(steps):
         wires = list(lens.idx)
         axes, A, C, adjacent = place(wires)
-        if size >= _PERM_MIN_SIZE and _permutation_rows(gate.mat) is not None:
+        if gate.rows is not None:
             rows = _in_axis_order(gate.mat, axes, q).argmax(axis=1)
             if table is not None:
                 lead = np.moveaxis(table, sorted(axes), range(len(axes)))

@@ -54,7 +54,7 @@ def _wires_of(dim: int, q: int, what: str) -> int:
 class Gate:
     """Immutable linear map from states of ``wires_in`` to ``wires_out`` wires."""
 
-    __slots__ = ("mat", "wires_in", "wires_out", "q")
+    __slots__ = ("mat", "wires_in", "wires_out", "q", "_rows")
 
     def __init__(
         self,
@@ -98,6 +98,25 @@ class Gate:
                 f"gate is {self.wires_in}->{self.wires_out}, not an endomorphism"
             )
         return self.wires_in
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The row map of a square 0/1 permutation matrix, mat[i, rows[i]]
+        == 1, else None; computed once, as mat is read-only.
+
+        The nonzero count comes first, so a dense gate is turned away in one
+        pass; q**m nonzero entries, each row's first one equal to 1 and no
+        column met twice leave nothing but a permutation."""
+        if not hasattr(self, "_rows"):
+            mat, rows = self.mat, None
+            if self.is_square and np.count_nonzero(mat) == len(mat):
+                rows = (mat != 0).argmax(axis=1)
+                rows.setflags(write=False)
+                ones = mat[np.arange(len(mat)), rows] == 1
+                if not (ones.all() and np.unique(rows).size == len(rows)):
+                    rows = None
+            self._rows = rows  # set once, so that no thread reads a half-made value
+        return self._rows
 
     def apply(self, state: State) -> State:
         """Matrix action on an arity-``wires_in`` state."""

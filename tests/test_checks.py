@@ -28,7 +28,6 @@ def lens_read_reversed(monkeypatch):
 
 
 def cycles_rotated_backwards(monkeypatch):
-    # Only states of at least _PERM_MIN_SIZE amplitudes take the kernel.
     real = focus_module._cycles
     monkeypatch.setattr(focus_module, "_cycles",
                         lambda rows: [c[::-1] for c in real(rows)])
@@ -39,7 +38,7 @@ def axis_order_skipped(monkeypatch, dense):
     # lens order, for dense gates or for 0/1 permutations only.
     real = focus_module._in_axis_order
     monkeypatch.setattr(focus_module, "_in_axis_order", lambda mat, axes, q: (
-        mat if (focus_module._permutation_rows(mat) is None) == dense else real(mat, axes, q)))
+        mat if (Gate(mat, q=q).rows is None) == dense else real(mat, axes, q)))
 
 
 def permutation_skips_axis_order(monkeypatch):
@@ -87,10 +86,14 @@ def collapse_relabels_sorted(monkeypatch):
 
 def rows_compose_reversed(monkeypatch):
     # A row map r2 that follows r1 composes to r2[r1] instead of r1[r2]
-    # (relabel composes one-axis Rows only).
+    # (relabel composes one-axis Rows only).  Only that indexing changes:
+    # the basis walk's argsort of the rows stays a plain array.
     class Reversed(np.ndarray):
         def __getitem__(self, rows):
             return np.asarray(rows)[self.view(np.ndarray)]
+
+        def argsort(self, *args, **kwargs):
+            return self.view(np.ndarray).argsort(*args, **kwargs)
 
     class Rows(focus_module.Rows):
         def __new__(cls, rows, shape, axes):

@@ -39,7 +39,7 @@ from qlens import (
 )
 from qlens.checks import _random_cycle, _random_mixed_circuit
 from qlens.circuits import FUSE_WIRES
-from qlens.focus import Gather, Gemm, _focus_steps, _permutation_rows
+from qlens.focus import Gather, Gemm, _focus_steps
 from qlens.oracle import random_unitary
 import qlens.circuits as circuits_module
 import qlens.cli as cli
@@ -254,11 +254,11 @@ class TestPlan:
 def _scratch_cases(rng) -> dict:
     """Circuits on 6 wires, each with the op kinds its plan must have (the
     ops that write a buffer decide which buffers a run allocates and which
-    one it returns), under _PERM_MIN_SIZE = 0: for a state or a batch of 3,
-    and for the identity's batch of 64, where row moves merge into Rows;
-    then whether a run, and a to_gate, writes both buffers.  The basis fill
-    of a to_gate writes a leading Rows, the first Gemm and a Rows right
-    after it, so of these only the to_gate of "even" writes both."""
+    one it returns): for a state or a batch of 3, and for the identity's
+    batch of 64, where row moves merge into Rows; then whether a run, and a
+    to_gate, writes both buffers.  The basis fill of a to_gate writes a
+    leading Rows, the first Gemm and a Rows right after it, so of these
+    only the to_gate of "even" writes both."""
     dense = (Step(Lens(6, (0, 1, 2, 3)), random_gate(4, 2, rng)),
              Step(Lens(6, (5, 4)), random_gate(2, 2, rng)))
     return {
@@ -280,10 +280,6 @@ class TestScratchBuffer:
     does not return beside it, so a later call allocates only the buffer it
     returns.  A kept buffer that ever became a returned array would
     silently overwrite a result the caller holds."""
-
-    @pytest.fixture(autouse=True)
-    def perm_kernels(self, monkeypatch):
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
 
     @staticmethod
     def held_results(call, kept, runs=4, keeps=True):
@@ -451,9 +447,9 @@ class TestScratchBuffer:
 
 def _basis_circuits() -> dict:
     """Circuits whose run plans open with each op kind the basis fill meets
-    (under _PERM_MIN_SIZE = 0 and _RUN_MIN = 2, unfused): a leading Gemm, a
-    Gemm on a middle block (A > 1), a Gather, a Rows on several axes, a
-    one-axis Rows on a middle block, and no op at all; then two random circuits, fused."""
+    (under _RUN_MIN = 2, unfused): a leading Gemm, a Gemm on a middle block
+    (A > 1), a Gather, a Rows on several axes, a one-axis Rows on a middle
+    block, and no op at all; then two random circuits, fused."""
     rng = np.random.default_rng(SEED)
     cycle = Gate(np.eye(8)[_random_cycle(8, rng)], 3, 3, 2)
     unfused = {
@@ -479,7 +475,6 @@ class TestRunBasis:
 
     @pytest.mark.parametrize("name", sorted(_basis_circuits()))
     def test_matches_run_on_the_ket_for_every_basis_tuple(self, monkeypatch, name):
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         monkeypatch.setattr(focus_module, "_RUN_MIN", 2)
         circ = _basis_circuits()[name]
         plan = cached_plan(circ, None)
@@ -557,15 +552,13 @@ class TestBasisSupport:
 
     @pytest.mark.parametrize("name", sorted(_basis_circuits()))
     def test_matches_run_basis_for_every_basis_tuple(self, monkeypatch, name):
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         monkeypatch.setattr(focus_module, "_RUN_MIN", 2)
         circ = _basis_circuits()[name]
         for v in all_basis_tuples(circ.n, circ.q):
             self.assert_matches_dense(circ, v)
 
     @pytest.mark.parametrize("q, n", [(2, 5), (3, 3)])
-    def test_ladders_below_the_permutation_size_for_every_basis_tuple(self, monkeypatch, q, n):
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
+    def test_ladders_below_the_permutation_size_for_every_basis_tuple(self, q, n):
         for circ in _permutation_ladders(n, q, np.random.default_rng(SEED)).values():
             for v in all_basis_tuples(n, q):
                 assert self.assert_matches_dense(circ, v)
@@ -594,12 +587,14 @@ class TestBasisSupport:
                 run((0, 0, 0))
 
     def test_takes_and_keeps_the_plan_and_scratch(self):
-        circ = ghz_circuit(3)
+        # Two dense products on 4 and 2 of 6 wires: the walk stops at the
+        # second, which a run_basis writes into the scratch.
+        circ = _scratch_cases(np.random.default_rng(SEED))["even"][0]
         for _ in range(2):
-            circ.run_basis((0,) * 4)
+            circ.run_basis((0,) * 6)
         plan, scratch = circ._programs[None]
         assert scratch is not None
-        assert circ._basis_support((1, 0, 0, 1)) is None
+        assert circ._basis_support((1, 0, 0, 1, 0, 1)) is None
         assert circ._programs[None][0] is plan and circ._programs[None][1] is scratch
 
 
@@ -641,8 +636,8 @@ class TestFusion:
         (reversal_circuit(20), 1),
     ], ids=["ghz20_parsed", "reversal20"])
     def test_matching_clusters_build_one_gate(self, monkeypatch, circ, builds):
-        # A parsed circuit holds a new Gate for every op, so matching
-        # clusters are found by their relabelled lenses and gate bytes.
+        # Matching clusters are found by their relabelled lenses and gate
+        # bytes, not by gate objects: a circuit may hold equal gates apart.
         # Each shared gate equals the one built from the cluster's own steps.
         calls = []
         real = circuits_module._collapse
@@ -671,8 +666,8 @@ class TestFusion:
         assert all(st.lens.m <= FUSE_WIRES for st in fused)
         # The one dense step (GHZ's Hadamard) stays alone; every other step
         # is a 0/1 permutation cluster, so no cluster mixes the two kinds.
-        dense = [st for st in fused if _permutation_rows(st.gate.mat) is None]
-        raw_dense = [st for st in circ.steps if _permutation_rows(st.gate.mat) is None]
+        dense = [st for st in fused if st.gate.rows is None]
+        raw_dense = [st for st in circ.steps if st.gate.rows is None]
         assert len(dense) == len(raw_dense)
         assert all(a is b for a, b in zip(dense, raw_dense))
         s = random_state(16, 2, np.random.default_rng(SEED))
@@ -686,7 +681,7 @@ class TestFusion:
         circ = Circuit(3, (cx, u, Step(Lens(3, (1, 2)), swap())))
         fused = circ.fused(3)
         assert [st.lens.idx for st in fused.steps] == [(0, 1, 2), (0,)]
-        assert _permutation_rows(fused.steps[0].gate.mat) is not None
+        assert fused.steps[0].gate.rows is not None
         assert fused.steps[1] is u
         s = random_state(3, 2, rng)
         assert fused.run(s).max_dev(reference_run(circ.steps, s)) <= 1e-12
@@ -754,14 +749,14 @@ class TestFusion:
 
     def test_circuit_with_programs_freed_with_its_last_reference(self):
         # No reference cycle: a circuit holding its clusters, plans and
-        # scratch buffers does not wait for the garbage collector.  GHZ-6's
-        # to_gate plan (Gemm, Gemm, Rows, Gemm, Rows) writes both buffers
-        # after the basis fill; GHZ-7's (Gemm, Rows) is written by the fill
-        # alone and keeps none.
-        for depth, kept in ((6, [True, False]), (5, [True, True])):
-            circ = ghz_circuit(depth)
+        # scratch buffers does not wait for the garbage collector.  GHZ-7's
+        # to_gate plan (Gemm, Rows) is written by the basis fill alone and
+        # keeps none; two dense products on 4 and 2 of 6 wires write both
+        # buffers after the fill, in run and in to_gate.
+        for circ, kept in ((ghz_circuit(6), [True, False]),
+                           (_scratch_cases(np.random.default_rng(SEED))["even"][0], [True, True])):
             for _ in range(2):
-                circ.run(ket((0,) * (depth + 1)))
+                circ.run(ket((0,) * circ.n))
                 circ.to_gate()
             assert [scratch is not None for _, scratch in circ._programs.values()] == kept
         ref = weakref.ref(circ)

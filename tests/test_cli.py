@@ -178,6 +178,34 @@ class TestParseCircuit:
         with pytest.raises(ParseError, match=r"gates\[0\]\.name"):
             parse_circuit(circuit_file(doc))
 
+    def test_builtin_built_once_per_file(self, circuit_file):
+        # Ops naming one builtin share its Gate, identity(2) and identity(3)
+        # being two builtins; each custom gate is one Gate, as declared.
+        flip = {"name": "u", "wires": 1,
+                "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
+        ops = [("cnot", [0, 1]), ("identity(2)", [2, 3]), ("u", [0]), ("cnot", [2, 1]),
+               ("identity(3)", [0, 1, 3]), ("identity(2)", [1, 0]), ("u", [3])]
+        doc = {"wires": 4, "gates": [flip],
+               "ops": [{"gate": name, "lens": lens} for name, lens in ops]}
+        path = circuit_file(doc)
+        gates = [step.gate for step in parse_circuit(path).steps]
+        assert gates[0] is gates[3] and gates[1] is gates[5] and gates[2] is gates[6]
+        assert len({id(g) for g in gates}) == 4
+        assert gates[1].wires == 2 and gates[4].wires == 3
+        assert np.array_equal(gates[2].mat, [[0, 1], [1, 0]])
+        assert parse_circuit(path).steps[0].gate is not gates[0]
+
+    @pytest.mark.parametrize("name, lens, wires", [("cnot", [0], 2),
+                                                   ("identity(3)", [0, 1], 3)])
+    def test_builtin_arity_checked_on_every_op(self, name, lens, wires):
+        # The same message whether the op names the builtin first or again.
+        ok, bad = {"gate": name, "lens": list(range(wires))}, {"gate": name, "lens": lens}
+        for k, ops in enumerate(([bad], [ok, bad])):
+            with pytest.raises(ArityMismatch) as err:
+                circuit_from_spec({"wires": 4, "ops": ops})
+            assert str(err.value) == (f"circuit.ops[{k}]: gate {name!r} acts on {wires} "
+                                      f"wires, lens has {len(lens)}")
+
     def test_duplicate_custom_gate_name(self, circuit_file):
         gate = {"name": "u", "wires": 1,
                 "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
@@ -306,6 +334,36 @@ class TestRunCommand:
         state_path.write_text(state_to_text(ket((1, 0, 0))))
         assert main(["run", path, "--input", str(state_path)]) == 0
         assert capsys.readouterr().out.strip() == "111 1.0 0.0"
+
+    @pytest.mark.parametrize("circuit", ["cnot", "reverse"])
+    def test_permutation_relabels_exactly_at_every_size(self, circuit_file, tmp_path, capsys,
+                                                       circuit):
+        # Wires 0-3 of 4 sit at wires 0, 5, 8, 13 of 14, which reversal-14
+        # swaps as reversal-4 swaps wires 0-3; the other wires stay 0.  A
+        # relabelling moves each amplitude as it is, -0.0 included, on a
+        # state of 2**4 amplitudes as on one of 2**14.
+        at = {4: (0, 1, 2, 3), 14: (0, 5, 8, 13)}
+
+        def spread(bits, n):
+            wide = ["0"] * n
+            for b, w in zip(bits, at[n]):
+                wide[w] = b
+            return "".join(wide)
+
+        texts = []
+        for n in (4, 14):
+            doc = ({"wires": n, "ops": [{"gate": "cnot", "lens": list(at[n][:2])}]}
+                   if circuit == "cnot" else circuit_to_spec(example_circuit("reverse", n)))
+            state = tmp_path / f"s{n}.txt"
+            state.write_text(f"{spread('1000', n)} 0.6 -0.0\n{spread('0110', n)} -0.0 0.8\n")
+            assert main(["run", circuit_file(doc, f"c{n}.json"), "--input", str(state)]) == 0
+            texts.append(capsys.readouterr().out)
+        narrow, wide = texts
+        assert wide == "".join(f"{spread(line[:4], 14)}{line[4:]}\n"
+                               for line in narrow.splitlines())
+        want = {"cnot": "0110 -0.0 0.8\n1100 0.6 -0.0\n",
+                "reverse": "0001 0.6 -0.0\n0110 -0.0 0.8\n"}
+        assert narrow == want[circuit]
 
     def test_input_arity_mismatch(self, circuit_file, capsys):
         path = circuit_file(BIT_FLIP_ENC)

@@ -43,7 +43,7 @@ from qlens import (
 import qlens.focus as focus_module
 import qlens.state as state_module
 from qlens.checks import _random_cycle
-from qlens.focus import _focus_steps, _permutation_rows
+from qlens.focus import _focus_steps
 from _helpers import (dense_product, kind, max_entry, random_gate, random_lens, random_steps,
                       reference_run)
 
@@ -400,10 +400,6 @@ class TestPermutationKernel:
     np.take along one axis into the other buffer when the lens axes are
     adjacent and most rows move."""
 
-    @pytest.fixture(autouse=True)
-    def small_states_take_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
-
     @pytest.mark.parametrize("chunk", [None, 64, 128],
                              ids=["one_chunk", "tiny_chunks", "small_chunks"])
     @pytest.mark.parametrize("b", [None, 3], ids=["vector", "batch"])
@@ -422,24 +418,16 @@ class TestPermutationKernel:
         if case.startswith("take_"):
             plan = focus_module._plan(n, q, steps, b)
             assert ([kind(op) for op in plan].count("Rows:one")
-                    == sum(_permutation_rows(g.mat) is not None for _, g in steps))
+                    == sum(g.rows is not None for _, g in steps))
         assert np.array_equal(amps, before)
         with monkeypatch.context() as patched:
-            patched.setattr(focus_module, "_permutation_rows", lambda mat: None)
+            patched.setattr(Gate, "rows", property(lambda self: None))
             gemm = _focus_steps(n, q, steps, amps)
         assert np.array_equal(got, gemm)
         assert max_entry(got, dense_product(steps, n, q) @ amps) <= 1e-10
         for j in range(1 if b is None else b):
             s = reference_run(steps, State(n, q, amps if b is None else amps[:, j]))
             assert max_entry(got if b is None else got[:, j], s.amps) <= 1e-12
-
-    def test_detects_only_zero_one_permutations(self):
-        assert _permutation_rows(cnot().mat).tolist() == [0, 1, 3, 2]
-        assert _permutation_rows(identity(2).mat).tolist() == [0, 1, 2, 3]
-        assert _permutation_rows(np.array([[0, 1j], [1, 0]])) is None
-        assert _permutation_rows(np.array([[0, -1], [1, 0]])) is None
-        assert _permutation_rows(np.array([[1, 1], [0, 0]])) is None
-        assert _permutation_rows(np.zeros((1, 1))) is None
 
     def test_no_gemm_and_identity_costs_nothing(self, monkeypatch):
         rng = np.random.default_rng(SEED)
@@ -460,26 +448,6 @@ class TestPermutationKernel:
         # the caller's array copied once, then one 2-cycle per step (3 copies each)
         _focus_steps(5, 2, [(Lens(5, (4, 1)), cnot()), (Lens(5, (0, 3)), cnot())], amps)
         assert (calls.count("copyto"), calls.count("matmul")) == (7, 0)
-
-    def test_small_states_take_gather_and_gemm(self, monkeypatch):
-        # 32 amplitudes fall below a 64-amplitude threshold, 32 x 2 do not
-        rng = np.random.default_rng(SEED)
-        steps = [(Lens(5, (4, 1)), cnot())]
-        vector = random_state(5, 2, rng).amps
-        batch = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
-        calls = []
-        real = np.matmul
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 64)
-        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or real(*a, **k))
-        got_vector = _focus_steps(5, 2, steps, vector)
-        got_batch = _focus_steps(5, 2, steps, batch)
-        assert len(calls) == 1
-        monkeypatch.undo()
-        want = focus_apply_reference(*steps[0], State(5, 2, vector)).amps
-        assert max_entry(got_vector, want) <= 1e-12
-        for j in range(2):
-            want = focus_apply_reference(*steps[0], State(5, 2, batch[:, j])).amps
-            assert max_entry(got_batch[:, j], want) <= 1e-12
 
     def test_rows_take_the_caller_array_once(self, monkeypatch):
         # n = 6, lens (3, 2): the state views as (A, 4, C) = (4, 4, 4).  One
@@ -581,7 +549,6 @@ class TestPlacement:
         rng = np.random.default_rng(SEED)
         n, cases = placement_cases(q, rng)
         steps, kinds = cases[case]
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         monkeypatch.setattr(focus_module, "_RUN_MIN", q * (b or 1))
         plan = focus_module._plan(n, q, steps, b)
         assert [kind(op) + ("" if not isinstance(op, focus_module.Gemm)
@@ -709,12 +676,11 @@ class TestBasisFill:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("q", [2, 3])
-    def test_planned_steps_match_on_both_starts(self, monkeypatch, q):
+    def test_planned_steps_match_on_both_starts(self, q):
         # Plans as _plan makes them, permutation kernels included: a
         # reversal (no Gemm; Rows across several axes, or one Rows on the
         # identity), a GHZ preparation (a Gemm, then one-axis Rows) and
         # random steps on unsorted lenses.  A ket runs the first two entirely in the fill.
-        monkeypatch.setattr(focus_module, "_PERM_MIN_SIZE", 0)
         rng = np.random.default_rng(SEED)
         n = 4 if q == 2 else 3
         digits_swapped = np.arange(q * q).reshape(q, q).T.reshape(-1)
@@ -740,9 +706,8 @@ class TestBasisFill:
                 assert np.array_equal(got, want)
 
     def test_ghz_16_runs_in_the_fill(self):
-        # At 2**16 amplitudes the planner takes its permutation kernels
-        # unforced: GHZ-16 is one product and then one-axis Rows, all in
-        # the fill.
+        # GHZ-16, fused, is one product and then one-axis Rows, all in the
+        # fill.
         steps = [(s.lens, s.gate) for s in ghz_circuit(15).fused(5).steps]
         plan = focus_module._plan(16, 2, steps, None)
         assert [kind(op) for op in plan] == ["Gemm"] + ["Rows:one"] * (len(plan) - 1)

@@ -235,6 +235,41 @@ class TestBuiltins:
         assert builtin("identity(2)", q=3).mat.shape == (9, 9)
 
 
+class TestRows:
+    """Gate.rows: the row map of a square 0/1 permutation matrix, else None."""
+
+    def test_detects_only_zero_one_permutations(self):
+        assert cnot().rows.tolist() == [0, 1, 3, 2]
+        assert identity(2).rows.tolist() == [0, 1, 2, 3]
+        assert Gate(np.array([[0, 1j], [1, 0]])).rows is None
+        assert Gate(np.array([[0, -1], [1, 0]])).rows is None
+        assert Gate(np.array([[1, 1], [0, 0]])).rows is None
+        assert Gate(np.zeros((1, 1))).rows is None
+        assert hadamard().rows is None
+
+    def test_qutrit_adder(self):
+        # |a, b> -> |a, a + b mod 3>: new row (a, c) is old row (a, c - a).
+        a, b = np.divmod(np.arange(9), 3)
+        add = Gate(np.eye(9)[a * 3 + (a + b) % 3].T, 2, 2, 3)
+        assert add.rows.tolist() == (a * 3 + (b - a) % 3).tolist()
+        assert (add.mat[np.arange(9), add.rows] == 1).all()
+
+    def test_non_square_zero_one_gate_is_none(self):
+        # One nonzero per row, each a 1, no column twice, yet 1 -> 0 wires.
+        assert Gate(np.array([[1, 0]]), 1, 0).rows is None
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        g, h = swap(), hadamard()
+        calls = []
+        real = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: calls.append(1) or real(a))
+        rows = g.rows
+        assert g.rows is rows and h.rows is None and h.rows is None
+        assert len(calls) == 2
+        with pytest.raises(ValueError):
+            rows[0] = 1
+
+
 class TestCompose:
     def test_hadamard_involution(self):
         assert np.max(np.abs(compose(hadamard(), hadamard()).mat - np.eye(2))) <= 1e-15
