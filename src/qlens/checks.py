@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .parallel import (
     identity_focused,
 )
 from .state import (
+    State,
     all_basis_tuples,
     index_to_tuple,
     ket,
@@ -259,10 +261,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         circ = _random_mixed_circuit(int(rng.integers(1, min(max_wires, 6) + 1)),
                                      int(rng.integers(2, 4)), rng)
         s = random_state(circ.n, circ.q, rng)
-        want = s
-        for step in circ.steps:
-            want = focus_apply_reference(step.lens, step.gate, want)
-        where = f"n={circ.n} q={circ.q} lenses={[list(st.lens.idx) for st in circ.steps]}"
+        want, where = _reference_run(circ.steps, s), _where(circ)
         fusion.see(circ.run(s).max_dev(want), f"{where} default")
         for k in range(2, 6):
             fusion.see(circ.fused(k).run(s).max_dev(want), f"{where} k={k}")
@@ -275,14 +274,8 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
             circ = _random_mixed_circuit(int(rng.integers(low, high + 1)), q_big, rng)
             cols = [random_state(circ.n, circ.q, rng) for _ in range(batch)]
             amps = np.stack([s.amps for s in cols], axis=1)
-            want = []
-            for s in cols:
-                for step in circ.steps:
-                    s = focus_apply_reference(step.lens, step.gate, s)
-                want.append(s.amps)
-            want = np.stack(want, axis=1)
-            where = (f"n={circ.n} q={circ.q} batch={batch} "
-                     f"lenses={[list(st.lens.idx) for st in circ.steps]}")
+            want = np.stack([_reference_run(circ.steps, s).amps for s in cols], axis=1)
+            where = _where(circ, f"batch={batch} ")
             for k in (None, 2, 3, 4, 5):
                 fused = circ if k is None else circ.fused(k)
                 if batch == 1:
@@ -304,7 +297,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
             want = np.eye(q_big**circ.n, dtype=np.complex128)
             for step in circ.steps:
                 want = build_full_matrix(step.lens, step.gate).mat @ want
-            where = f"n={circ.n} q={circ.q} lenses={[list(st.lens.idx) for st in circ.steps]}"
+            where = _where(circ)
             collapse.see(float(np.max(np.abs(circ.to_gate().mat - want))), where)
             for _ in range(3):
                 v = tuple(int(x) for x in kets.integers(0, q_big, circ.n))
@@ -334,11 +327,9 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         for prefix in (reverse, ladder):
             circ = circuits.Circuit(n, (*prefix, *_random_mixed_circuit(n, q_big, rng).steps),
                                     q_big)
-            where = f"n={n} q={q_big} lenses={[list(st.lens.idx) for st in circ.steps]}"
+            where = _where(circ)
             for v in (tuple(map(int, kets.integers(0, q_big, n))) for _ in range(3)):
-                got, want = circ.run_basis(v), ket(v, q_big)
-                for step in circ.steps:
-                    want = focus_apply_reference(step.lens, step.gate, want)
+                got, want = circ.run_basis(v), _reference_run(circ.steps, ket(v, q_big))
                 basis_run.see(got.max_dev(want), f"{where} basis={v}")
                 basis_run.see_bool(np.array_equal(got.amps, circ.run(ket(v, q_big)).amps),
                                    f"{where} basis={v}: run_basis differs from run")
@@ -363,11 +354,21 @@ def _text_matches(circ: circuits.Circuit, v: tuple[int, ...]) -> list[bool]:
     support = circ._basis_support(v)
     if support is None:
         return []
-    want = ket(v, circ.q)
-    for step in circ._clusters:
-        want = focus_apply_reference(step.lens, step.gate, want)
+    want = _reference_run(circ._clusters, ket(v, circ.q))
     return [support_to_text(circ.n, circ.q, *support, t) == state_to_text(want, t)
             for t in (0.0, 0.3)]
+
+
+def _reference_run(steps: Iterable[circuits.Step], s: State) -> State:
+    """s after ``steps``, each run by focus_apply_reference."""
+    for step in steps:
+        s = focus_apply_reference(step.lens, step.gate, s)
+    return s
+
+
+def _where(circ: circuits.Circuit, extra: str = "") -> str:
+    """The witness of a law drawn on circ: its size, alphabet and lenses."""
+    return f"n={circ.n} q={circ.q} {extra}lenses={[list(st.lens.idx) for st in circ.steps]}"
 
 
 def _random_cycle(size: int, rng: np.random.Generator) -> np.ndarray:

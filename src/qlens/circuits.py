@@ -85,7 +85,7 @@ class Circuit:
         """run(ket(v, q)), bit-identical, without building the ket: the
         executor's first buffer starts as the state after every op before
         the plan's second product, the ket carried through them
-        (focus._basis_fill), and buffers are kept as for run.  ``v`` is
+        (focus._basis_walk), and buffers are kept as for run.  ``v`` is
         checked as ket checks it."""
         return State(self.n, self.q, self._run_plan(None, None, self._basis_index(v)),
                      _trusted=True)
@@ -221,8 +221,8 @@ class Circuit:
         once on all basis kets at once (guarded; intended for small circuits
         only).
 
-        The identity, carried through the plan's first product, is written
-        in place into the executor's first buffer (focus._basis_fill);
+        The identity, carried through the plan's first product
+        (focus._basis_walk), is written into the executor's first buffer;
         buffers are kept and allocated as for run."""
         check_dense_size(self.n, self.q)
         return Gate(self._run_plan(self.q**self.n, None), self.n, self.n, self.q, _trusted=True)

@@ -169,6 +169,15 @@ class Gather(NamedTuple):
     shape: tuple[int, ...]
     axes: tuple[int, ...]
 
+    def run(self, cur: np.ndarray, out: np.ndarray) -> None:
+        np.copyto(out.reshape(self.shape), cur.reshape(self.shape).transpose(self.axes))
+
+    def moved(self, flat: np.ndarray) -> np.ndarray:
+        """Where the amplitudes at the flat indices ``flat`` go: their
+        digits transposed."""
+        digits = np.unravel_index(flat, self.shape)
+        return np.ravel_multi_index([digits[a] for a in self.axes], self.shape)
+
 
 class Gemm(NamedTuple):
     """Multiply the state, viewed as (A, q**m, C), by ``mat`` (in axis order)
@@ -178,18 +187,65 @@ class Gemm(NamedTuple):
     A: int
     C: int
 
+    def run(self, cur: np.ndarray, out: np.ndarray) -> None:
+        view = (self.A, len(self.mat), self.C)
+        np.matmul(self.mat, cur.reshape(view), out=out.reshape(view))
+
 
 class Rows(NamedTuple):
     """Move the row blocks of the state, viewed with ``shape``, by the row
     map ``rows``: new row block r is old row block rows[r], row block i
-    being the view with its ``axes`` fixed to the digits of i.  On one axis
-    (the (A, q**m, C) view of a lens block, axes (1,)) that is one np.take
-    into the other buffer; on several, whose row blocks are strided views,
-    the map's cycles rotate in place (_rotate)."""
+    being the view with its ``axes`` fixed to the digits of i."""
 
     rows: np.ndarray
     shape: tuple[int, ...]
     axes: tuple[int, ...]
+
+    def run(self, cur: np.ndarray, out: np.ndarray) -> None:
+        """On one axis (the (A, q**m, C) view of a lens block, axes (1,)),
+        one np.take into ``out``.  On several, whose row blocks are strided
+        views, in place on ``out``, which first takes a copy of ``cur``
+        unless it is ``cur``: each cycle of the row map rotates through a
+        temp, and fixed rows are not touched.  The row blocks move chunk by
+        chunk over their leading axes, as few as bring a chunk of the state
+        within _CHUNK_BYTES; the temp holds one block's chunk."""
+        if len(self.axes) == 1:
+            np.take(cur.reshape(self.shape), self.rows, axis=self.axes[0],
+                    out=out.reshape(self.shape), mode="clip")
+            return
+        if out is not cur:
+            np.copyto(out, cur)
+        m = len(self.axes)
+        state = np.moveaxis(out.reshape(self.shape), self.axes, range(m))
+        cycles, inner = _cycles(self.rows), state.shape[m:]
+        blocks = {i: state[np.unravel_index(i, state.shape[:m]) + (Ellipsis,)]
+                  for cycle in cycles for i in cycle}
+        lead = 0
+        while lead < len(inner) and out.nbytes > _CHUNK_BYTES * math.prod(inner[:lead]):
+            lead += 1
+        tmp = np.empty(inner[lead:], out.dtype)
+        for chunk in product(*map(range, inner[:lead])):
+            at = chunk + (Ellipsis,)
+            for cycle in cycles:
+                np.copyto(tmp, blocks[cycle[0]][at])
+                for here, there in zip(cycle, cycle[1:]):
+                    np.copyto(blocks[here][at], blocks[there][at])
+                np.copyto(blocks[cycle[-1]][at], tmp)
+
+    def moved(self, flat: np.ndarray) -> np.ndarray:
+        """Where the amplitudes at the flat indices ``flat`` go: the row of
+        each through the inverse of the row map (argsort, the map being a
+        permutation), on one axis by the row's stride, on several by moving
+        the digits on its axes."""
+        to = np.argsort(self.rows)
+        if len(self.axes) == 1:
+            step = math.prod(self.shape[self.axes[0] + 1:])
+            row = flat // step % len(self.rows)
+            return flat + (to[row] - row) * step
+        digits, axes = np.array(np.unravel_index(flat, self.shape)), list(self.axes)
+        lens = [self.shape[a] for a in axes]
+        digits[axes] = np.unravel_index(to[np.ravel_multi_index(digits[axes], lens)], lens)
+        return np.ravel_multi_index(digits, self.shape)
 
 
 def _layout(order: list[int], front: list[int]) -> list[int]:
@@ -308,49 +364,6 @@ def _plan(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     return tuple(plan)
 
 
-def _rotate(buf: np.ndarray, op: Rows, temp: np.ndarray) -> None:
-    """Run a Rows on several axes in place on buf, each cycle of its row
-    map rotating through ``temp``; fixed rows are not touched.  The row
-    blocks move chunk by chunk over their leading axes, as few as bring a
-    chunk of the state within _CHUNK_BYTES."""
-    m = len(op.axes)
-    state = np.moveaxis(buf.reshape(op.shape), op.axes, range(m))
-    cycles, inner = _cycles(op.rows), state.shape[m:]
-    blocks = {i: state[np.unravel_index(i, state.shape[:m]) + (Ellipsis,)]
-              for cycle in cycles for i in cycle}
-    lead = 0
-    while lead < len(inner) and buf.nbytes > _CHUNK_BYTES * math.prod(inner[:lead]):
-        lead += 1
-    tmp = temp[:math.prod(inner[lead:])].reshape(inner[lead:])
-    for chunk in product(*map(range, inner[:lead])):
-        at = chunk + (Ellipsis,)
-        for cycle in cycles:
-            np.copyto(tmp, blocks[cycle[0]][at])
-            for here, there in zip(cycle, cycle[1:]):
-                np.copyto(blocks[here][at], blocks[there][at])
-            np.copyto(blocks[cycle[-1]][at], tmp)
-
-
-def _moved(op: Gather | Rows, flat: np.ndarray) -> np.ndarray:
-    """Where ``op``, which only moves amplitudes, puts those at the flat
-    indices ``flat``: a Gather transposes their digits, and a Rows sends the
-    row of each through the inverse of its row map (argsort, the map being
-    a permutation), on one axis by the row's stride, on several by moving
-    the digits on its axes."""
-    if isinstance(op, Gather):
-        digits = np.unravel_index(flat, op.shape)
-        return np.ravel_multi_index([digits[a] for a in op.axes], op.shape)
-    to = np.argsort(op.rows)
-    if len(op.axes) == 1:
-        step = math.prod(op.shape[op.axes[0] + 1:])
-        row = flat // step % len(op.rows)
-        return flat + (to[row] - row) * step
-    digits, axes = np.array(np.unravel_index(flat, op.shape)), list(op.axes)
-    lens = [op.shape[a] for a in axes]
-    digits[axes] = np.unravel_index(to[np.ravel_multi_index(digits[axes], lens)], lens)
-    return np.ravel_multi_index(digits, op.shape)
-
-
 def _basis_walk(plan: tuple[Gather | Gemm | Rows, ...], cols: int,
                 index: int | None) -> tuple[np.ndarray, np.ndarray | None, int]:
     """The flat indices and values (None: all 1) of the nonzero amplitudes
@@ -359,17 +372,22 @@ def _basis_walk(plan: tuple[Gather | Gemm | Rows, ...], cols: int,
     its second product, and how many ops that covered.
 
     The walk follows the flat indices through each Gather or Rows, the ops
-    that only move amplitudes (_moved, a bijection, so they stay distinct).
-    The first Gemm expands them as focus_on_basis re-embeds a gate applied
-    locally: an amplitude at (a, j, c) of its (A, q**m, C) view becomes
-    mat[:, j] at (a, :, c), each entry one product term times 1.0, so the
-    values are bit-identical to running those ops.  A second product is not
-    walked: its sums may round differently from the matmul's."""
+    that only move amplitudes (their ``moved``, a bijection, so they stay
+    distinct).  The first Gemm expands them as focus_on_basis re-embeds a
+    gate applied locally: an amplitude at (a, j, c) of its (A, q**m, C) view
+    becomes mat[:, j] at (a, :, c), each entry one product term times 1.0,
+    so the values are bit-identical to running those ops.  A second product
+    is not walked: its sums may round differently from the matmul's.  On a
+    2-vCPU Xeon, the Shor-code to_gate plan [Rows, Gemm, Rows, Gemm, Rows],
+    its first three ops walked, took 1.7 ms a call against 2.8-3.0 with the
+    first Rows alone walked (median of 301); a GHZ-20 run_basis, its whole
+    plan walked, 1.5-1.9 ms against 22-29 with its five Rows run as passes
+    (median of 31)."""
     flat = np.arange(cols) * (cols + 1) if index is None else np.array([index])
     vals, done = None, 0
     for op in plan:
         if not isinstance(op, Gemm):
-            flat = _moved(op, flat)
+            flat = op.moved(flat)
         elif vals is None:
             j = flat // op.C % len(op.mat)
             flat = (flat - j * op.C)[:, None] + np.arange(len(op.mat)) * op.C
@@ -378,17 +396,6 @@ def _basis_walk(plan: tuple[Gather | Gemm | Rows, ...], cols: int,
             break
         done += 1
     return flat, vals, done
-
-
-def _basis_fill(buf: np.ndarray, plan: tuple[Gather | Gemm | Rows, ...],
-                index: int | None) -> int:
-    """Write the kets of _basis_walk into ``buf``, of shape (q**n, q**n) for
-    the identity's columns (``index`` None) or (q**n,) for the one ket at
-    ``index``; return how many ops of ``plan`` that covered."""
-    flat, vals, done = _basis_walk(plan, buf.size // len(buf), index)
-    buf.fill(0)
-    buf.reshape(-1)[flat] = 1 if vals is None else vals
-    return done
 
 
 def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Rows, ...],
@@ -400,23 +407,21 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Rows, ...],
     q**n x q**n identity (batch q**n), or the ket at ``index`` (batch None).
 
     Each of the two state-sized buffers is allocated when an op first
-    writes it: the basis fill, the copy of the caller's ``amps`` that a
-    Rows on several axes (or a plan that writes nothing) makes first, and
-    the destination of a Gather, Gemm or one-axis Rows.  The first two go
-    into the first buffer, always fresh; a ``scratch`` of the buffers'
-    shape is the second (with the scratch first, a Shor-code to_gate
-    result landed in it, and collapse_small ops took 8-20% longer, 2-vCPU
-    Xeon).  Gathers, products and one-axis Rows alternate between the
-    buffers, reading the caller's array where one opens the plan (np.take
-    with mode="clip": with "raise" and out=, numpy buffers the copy, 1.3
-    against 0.44 ms at 512 x 512); a Rows on several axes, the one op in
-    place, rotates through a temp of _CHUNK_BYTES // 16 amplitudes.
-    Basis kets cost no pass for the ops before the plan's second Gemm:
-    _basis_fill writes the state after them (a Shor-code to_gate runs 2 of
-    its 4 passes, a GHZ-20 ket or a reversal none).  The result never
-    shares memory with the scratch handed back, so a caller may keep that
-    for its next call.  Before allocating, the working set (the caller's
-    ``amps`` and two buffers, or two buffers for basis kets) must fit
+    writes it.  The basis fill, and the copy of the caller's ``amps`` that
+    an op in place (a Rows on several axes) or a plan that writes nothing
+    makes first, go into the first buffer, always fresh; a ``scratch`` of
+    the buffers' shape is the second (with the scratch first, a Shor-code
+    to_gate result landed in it, and collapse_small ops took 8-20% longer,
+    2-vCPU Xeon).  The other ops alternate between the buffers, reading the
+    caller's array where one opens the plan (np.take with mode="clip": with
+    "raise" and out=, numpy buffers the copy, 1.3 against 0.44 ms at
+    512 x 512).  Basis kets cost no pass for the ops before the plan's
+    second Gemm: _basis_walk carries them through those ops, and the fill
+    writes the state after them (a Shor-code to_gate runs 2 of its 4
+    passes, a GHZ-20 ket or a reversal none).  The result never shares
+    memory with the scratch handed back, so a caller may keep that for its
+    next call.  Before allocating, the working set (the caller's ``amps``
+    and two buffers, or two buffers for basis kets) must fit
     MAX_STATE_ENTRIES.
     """
     basis = amps is None
@@ -429,34 +434,23 @@ def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Rows, ...],
             bufs[i] = np.empty(shape, np.complex128)
         return bufs[i]
 
-    def own(cur: np.ndarray) -> np.ndarray:
-        """cur, or its copy in the first buffer if it is the caller's array."""
-        if cur is not amps:
-            return cur
-        np.copyto(buffer(0), amps)
-        return bufs[0]
-
-    cur = buffer(0) if basis else amps
-    done = _basis_fill(cur, plan, index) if basis else 0
-    temp = None
+    cur, done = amps, 0
+    if basis:
+        flat, vals, done = _basis_walk(plan, math.prod(shape[1:]), index)
+        cur = buffer(0)
+        cur.fill(0)
+        cur.reshape(-1)[flat] = 1 if vals is None else vals
     for op in plan[done:]:
-        if isinstance(op, Rows) and len(op.axes) > 1:
-            cur = own(cur)
-            if temp is None:
-                temp = np.empty(_CHUNK_BYTES // 16, np.complex128)
-            _rotate(cur, op, temp)
-            continue
-        spare = buffer(1 if cur is bufs[0] else 0)
-        if isinstance(op, Gather):
-            np.copyto(spare.reshape(op.shape), cur.reshape(op.shape).transpose(op.axes))
-        elif isinstance(op, Gemm):
-            view = (op.A, len(op.mat), op.C)
-            np.matmul(op.mat, cur.reshape(view), out=spare.reshape(view))
-        else:
-            np.take(cur.reshape(op.shape), op.rows, axis=op.axes[0], out=spare.reshape(op.shape),
-                    mode="clip")
-        cur = spare
-    cur = own(cur)
+        # An op in place runs on cur, unless cur is the caller's array,
+        # which is never written: it then starts from a copy in the first
+        # buffer.
+        in_place = isinstance(op, Rows) and len(op.axes) > 1 and cur is not amps
+        out = cur if in_place else buffer(1 if cur is bufs[0] else 0)
+        op.run(cur, out)
+        cur = out
+    if cur is amps:
+        cur = buffer(0)
+        np.copyto(cur, amps)
     return cur, bufs[1] if cur is bufs[0] else bufs[0]
 
 

@@ -104,32 +104,33 @@ def rows_compose_reversed(monkeypatch):
 
 
 def fill_skips_rows_after_product(monkeypatch):
-    # The basis fill writes the plan's first product and counts the Rows
-    # right after it as done, but leaves those rows where the product put
-    # them.
-    real = focus_module._basis_fill
+    # The basis walk carries the kets through the plan's first product and
+    # counts the Rows right after it as done, but leaves those rows where
+    # the product put them.
+    real = focus_module._basis_walk
 
-    def fill(buf, plan, index):
+    def walk(plan, cols, index):
         first = 1 if plan and isinstance(plan[0], focus_module.Rows) else 0
         if (len(plan) > first + 1 and isinstance(plan[first], focus_module.Gemm)
                 and isinstance(plan[first + 1], focus_module.Rows)):
-            return real(buf, plan[:first + 1], index) + 1
-        return real(buf, plan, index)
+            flat, vals, done = real(plan[:first + 1], cols, index)
+            return flat, vals, done + 1
+        return real(plan, cols, index)
 
-    monkeypatch.setattr(focus_module, "_basis_fill", fill)
+    monkeypatch.setattr(focus_module, "_basis_walk", walk)
 
 
 def rows_carried_forward(monkeypatch):
-    # The basis fill carries the kets through the row map of a one-axis
+    # The basis walk carries the kets through the row map of a one-axis
     # Rows on a middle block (A > 1) instead of through its inverse.
-    real = focus_module._moved
+    real = focus_module.Rows.moved
 
     def moved(op, flat):
-        if isinstance(op, focus_module.Rows) and op.axes == (1,) and op.shape[0] > 1:
+        if op.axes == (1,) and op.shape[0] > 1:
             op = op._replace(rows=np.argsort(op.rows))
         return real(op, flat)
 
-    monkeypatch.setattr(focus_module, "_moved", moved)
+    monkeypatch.setattr(focus_module.Rows, "moved", moved)
 
 
 def support_left_unsorted(monkeypatch):

@@ -216,7 +216,7 @@ class TestPlan:
         circ = Circuit(9, comps["shor_enc"].steps + comps["shor_dec"].steps)
         plan = cached_plan(circ, 2**9)
         assert [kind(op) for op in plan] == ["Rows:one", "Gemm"] * 2 + ["Rows:one"]
-        assert focus_module._basis_fill(np.empty((2**9, 2**9), complex), plan, None) == 3
+        assert focus_module._basis_walk(plan, 2**9, None)[2] == 3
 
     def test_run_and_to_gate_plan_once(self, monkeypatch):
         calls = []

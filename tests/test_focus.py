@@ -502,6 +502,21 @@ class TestPermutationKernel:
             want = focus_apply_reference(Lens(6, wires), gate, State(6, 2, amps)).amps
             assert np.array_equal(got, want)
 
+    def test_in_place_temp_fits_the_state(self, monkeypatch):
+        # A CNOT on wires 5 and 0 rotates in place; its temp holds one chunk
+        # of one row block, not a fixed _CHUNK_BYTES, so no allocation
+        # outgrows the 2**6 amplitudes of the state.
+        s = random_state(6, 2, np.random.default_rng(SEED))
+        (op,) = focus_module._plan(6, 2, [(Lens(6, (5, 0)), cnot())], None)
+        assert kind(op) == "Rows:several"
+        sizes, empty = [], np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: sizes.append(
+            math.prod(np.atleast_1d(shape))) or empty(shape, *a, **k))
+        got = focus_apply(Lens(6, (5, 0)), cnot(), s)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= 2**6
+        assert np.array_equal(got.amps, focus_apply_reference(Lens(6, (5, 0)), cnot(), s).amps)
+
 
 def placement_cases(q, rng):
     """Named (steps, op kinds of their plan) on n = 5 wires, for a run
@@ -659,7 +674,7 @@ class TestBasisFill:
     def test_identity_matches_the_explicit_identity(self, q, case):
         n = 4 if q == 2 else 3
         plan, covered = basis_plans(q, q**n, np.random.default_rng(SEED))[case]
-        assert focus_module._basis_fill(np.empty((q**n, q**n), complex), plan, None) == covered
+        assert focus_module._basis_walk(plan, q**n, None)[2] == covered
         got, _ = focus_module._execute(n, q, plan, None)
         want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex))
         assert np.array_equal(got, want)
@@ -669,7 +684,7 @@ class TestBasisFill:
     def test_ket_matches_the_explicit_ket(self, q, case):
         n = 4 if q == 2 else 3
         plan, covered = basis_plans(q, None, np.random.default_rng(SEED))[case]
-        assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == covered
+        assert focus_module._basis_walk(plan, 1, 0)[2] == covered
         for index in range(q**n):
             got, _ = focus_module._execute(n, q, plan, None, index=index)
             want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex)[index])
@@ -699,7 +714,7 @@ class TestBasisFill:
                 kinds = {kind(op) for op in plan}
                 assert kinds == ({"Rows:several"} if name == "reversal"
                                  else {"Gemm", "Rows:one"})
-                assert focus_module._basis_fill(np.empty(q**n, complex), plan, 0) == len(plan)
+                assert focus_module._basis_walk(plan, 1, 0)[2] == len(plan)
             for index in range(q**n):
                 got, _ = focus_module._execute(n, q, plan, None, index=index)
                 want, _ = focus_module._execute(n, q, plan, np.eye(q**n, dtype=complex)[index])
@@ -712,7 +727,7 @@ class TestBasisFill:
         plan = focus_module._plan(16, 2, steps, None)
         assert [kind(op) for op in plan] == ["Gemm"] + ["Rows:one"] * (len(plan) - 1)
         assert len(plan) > 2
-        assert focus_module._basis_fill(np.empty(2**16, complex), plan, 0) == len(plan)
+        assert focus_module._basis_walk(plan, 1, 0)[2] == len(plan)
         for index in (0, 2**16 - 1, 0b1011001110001011):
             amps = np.zeros(2**16, complex)
             amps[index] = 1
