@@ -68,7 +68,8 @@ class CheckResult:
 
 
 class _Law:
-    """Accumulates the worst deviation seen for one law."""
+    """Accumulates the worst deviation seen for one law and the detail of
+    the draw that gave it, whether or not the law passes."""
 
     def __init__(self, name: str, tol: float):
         self.name = name
@@ -78,9 +79,7 @@ class _Law:
 
     def see(self, dev: float, detail: str = "") -> None:
         if dev > self.max_dev:
-            self.max_dev = dev
-            if dev > self.tol:
-                self.detail = detail
+            self.max_dev, self.detail = dev, detail
 
     def see_bool(self, ok: bool, detail: str = "") -> None:
         self.see(0.0 if ok else 1.0, detail)

@@ -110,8 +110,9 @@ def circuit_from_spec(doc: object, where: str = "circuit") -> circuits.Circuit:
 
 
 def _resolve_builtin(name: str, q: int, lens: Lens, loc: str) -> Gate:
-    """Build a builtin gate; identity(k) and null(k) meet the size guard and
-    the lens arity before their q**k x q**k matrix is allocated."""
+    """Build a builtin gate; identity(k) and null(k), bare names with k = 1,
+    meet the size guard and the lens arity before their q**k x q**k matrix
+    is allocated."""
     k = parametric_wires(name)
     try:
         if k is not None:

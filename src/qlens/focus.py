@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gates import Gate, apply_to_blocks, check_dense_size
 from .lens import Lens
-from .state import _CHUNK_BYTES, State, check_working_set, ket, tuple_to_index
+from .state import _CHUNK_BYTES, State, all_basis_tuples, check_working_set, ket, tuple_to_index
 
 
 @dataclass(frozen=True)
@@ -81,35 +81,22 @@ def map_blocks(phi: Callable[[np.ndarray], np.ndarray], blocks: np.ndarray) -> n
     return np.stack(rows) if rows else np.zeros_like(blocks)
 
 
-def _group_offsets(lens: Lens, q: int) -> np.ndarray:
-    """Flat offsets of all outer tuples w within one complement group.
-
-    offsets[index(w)] = sum_k w[k] * q**(n-1-idx[k]); the lens wire order is
-    the digit order of w.
-    """
-    offs = np.zeros(1, dtype=np.int64)
-    for wire in lens.idx:
-        step = q ** (lens.n - 1 - wire)
-        offs = (offs[:, None] + step * np.arange(q, dtype=np.int64)).reshape(-1)
-    return offs
-
-
 def merge_state(lens: Lens, v: Sequence[int], local: State) -> State:
     """Embed a local m-wire state at the lens, complement taken from tuple v.
 
-    Linear in the local state; on basis vectors it reduces to
-    merge_state(lens, v, ket(u)) == ket(lens.merge(u, extract_complement(v))).
+    The amplitude at local tuple u goes to lens.merge(u, c), c the
+    complement entries of v, so merge_state(lens, v, ket(u)) ==
+    ket(lens.merge(u, c)); a symbol of c that ket refuses is refused.
     """
     if len(v) != lens.n:
         raise ShapeMismatch(f"expected full tuple of arity {lens.n}, got {len(v)}")
     if local.n != lens.m:
         raise ShapeMismatch(f"local state has {local.n} wires, lens selects {lens.m}")
     q = local.q
-    comp = lens.complement
-    c = comp.extract(tuple(v))
-    base = sum(c[k] * q ** (lens.n - 1 - comp.idx[k]) for k in range(len(c)))
+    c = lens.complement.extract(tuple(v))
     out = np.zeros(q**lens.n, dtype=np.complex128)
-    out[base + _group_offsets(lens, q)] = local.amps
+    for u, a in zip(all_basis_tuples(lens.m, q), local.amps):
+        out[tuple_to_index(lens.merge(u, c), q)] = a
     return State(lens.n, q, out, _trusted=True)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     UnknownGate,
     UnsupportedAlphabet,
 )
-from .state import State, _complex_array
+from .state import State, _complex_array, _wires_of
 
 # Correctly rounded 1/sqrt(2); sqrt(0.5) is exact to the last ulp while
 # 1/sqrt(2) picks up a second rounding.
@@ -39,16 +39,6 @@ def check_dense_size(n: int, q: int) -> int:
             f"dense operator on {n} wires with q={q} exceeds the 2**{limit} guard"
         )
     return q**n
-
-
-def _wires_of(dim: int, q: int, what: str) -> int:
-    """Number of wires k with q**k == dim (q >= 1), or ShapeMismatch."""
-    if dim == 1:
-        return 0
-    k = max(round(math.log(dim, q)), 1) if q > 1 else 0
-    if q**k != dim:
-        raise ShapeMismatch(f"{what} dimension {dim} is not a power of q={q}")
-    return k
 
 
 class Gate:
@@ -188,7 +178,7 @@ def _require_qubits(name: str, q: int) -> None:
         raise UnsupportedAlphabet(f"{name} is only defined for q=2, got q={q}")
 
 
-_PARAMETRIC = re.compile(r"^(identity|null)\((\d+)\)$")
+_PARAMETRIC = re.compile(r"^(identity|null)(?:\((\d+)\))?$")
 
 _BUILTINS = {
     "hadamard": hadamard,
@@ -204,8 +194,6 @@ def builtin(name: str, q: int = 2) -> Gate:
     name = name.strip()
     if name in _BUILTINS:
         return _BUILTINS[name](q)
-    if name in ("identity", "null"):
-        return identity(1, q) if name == "identity" else null(1, q)
     k = parametric_wires(name)
     if k is not None:
         return identity(k, q) if name.startswith("identity") else null(k, q)
@@ -214,9 +202,10 @@ def builtin(name: str, q: int = 2) -> Gate:
 
 def parametric_wires(name: str) -> int | None:
     """k of a parametric builtin name identity(k) | null(k), read without
-    building its q**k x q**k matrix; None for every other name."""
+    building its q**k x q**k matrix; 1 for bare identity | null, None for
+    every other name."""
     match = _PARAMETRIC.match(name.strip())
-    return int(match.group(2)) if match else None
+    return int(match.group(2) or 1) if match else None
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -68,6 +68,14 @@ def _complex_array(values, what: str) -> np.ndarray:
     return a
 
 
+def _wires_of(dim: int, q: int, what: str) -> int:
+    """Number of wires k with q**k == dim (q >= 1), or ShapeMismatch."""
+    k = round(math.log(dim, q)) if q > 1 and dim > 0 else 0
+    if q**k != dim:
+        raise ShapeMismatch(f"{what} dimension {dim} is not a power of q={q}")
+    return k
+
+
 def check_working_set(arrays: int, entries: int) -> None:
     """Validate that ``arrays`` arrays of ``entries`` amplitudes each fit the
     guard together, before any of them is allocated."""
@@ -141,8 +149,7 @@ class State:
         ]
 
     def allclose(self, other: State, tol: float = DEFAULT_TOL) -> bool:
-        self._check_compatible(other)
-        return bool(np.max(np.abs(self.amps - other.amps), initial=0.0) <= tol)
+        return self.max_dev(other) <= tol
 
     def max_dev(self, other: State) -> float:
         self._check_compatible(other)
@@ -191,14 +198,7 @@ def zero_state(n: int, q: int = 2) -> State:
 def from_amplitudes(amps: Iterable[complex], q: int = 2) -> State:
     """Build a state from a flat amplitude list whose length must be q**n."""
     a = _complex_array(amps if isinstance(amps, np.ndarray) else list(amps), "amplitudes")
-    n = 0
-    dim = 1
-    while dim < a.size and q > 1:
-        dim *= q
-        n += 1
-    if dim != a.size:
-        raise ShapeMismatch(f"{a.size} amplitudes is not a power of q={q}")
-    return State(n, q, a)
+    return State(_wires_of(a.size, q, "state"), q, a)
 
 
 def random_state(n: int, q: int = 2, rng: np.random.Generator | None = None) -> State:

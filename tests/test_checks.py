@@ -12,7 +12,8 @@ import qlens.circuits as circuits_module
 import qlens.focus as focus_module
 import qlens.parallel as parallel_module
 from qlens import Circuit, Gate, Lens
-from qlens.checks import run_scope
+from qlens.checks import _Law, run_scope
+from qlens.cli import main
 
 
 def merge_ignores_lens_order(monkeypatch):
@@ -176,3 +177,31 @@ def test_planted_fault_fails_a_law(monkeypatch, plant):
     plant(monkeypatch)
     failed = [r.name for r in run_scope(scope, seed=0, trials=20) if not r.passed]
     assert law in failed
+
+
+def test_passing_law_keeps_the_witness_of_its_worst_draw():
+    law = _Law("law", 1.0)
+    for dev, detail in [(0.25, "first"), (0.5, "worst"), (0.5, "tie"), (0.0, "exact")]:
+        law.see(dev, detail)
+    result = law.result()
+    assert result.passed and (result.max_dev, result.detail) == (0.5, "worst")
+
+
+def test_fast_path_law_names_its_worst_draw():
+    # fast_vs_reference passes within rounding, so its worst draw is one
+    # whose product rounded.
+    (result,) = [r for r in run_scope("focus-laws", seed=0, trials=5, max_wires=3)
+                 if r.name == "fast_vs_reference"]
+    assert result.passed and result.max_dev > 0
+    assert result.detail.startswith("n=")
+
+
+def test_fail_line_names_the_witness(monkeypatch, capsys):
+    merge_ignores_lens_order(monkeypatch)
+    assert main(["check", "lens-laws", "--max-wires", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL  merge_extract                    max_dev=1.000e+00  tol=0.0e+00  "
+            "(n=2 lens=[1, 0])") in lines
+    # Only a FAIL line prints its witness.
+    assert [line.endswith(")") for line in lines[1:-1]] == [
+        line.startswith("FAIL") for line in lines[1:-1]]

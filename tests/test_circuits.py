@@ -79,6 +79,10 @@ class TestCircuitType:
         with pytest.raises(ShapeMismatch):
             Circuit(3, (Step(Lens(3, (0, 1)), hadamard()),))
 
+    def test_gate_alphabet_validated(self):
+        with pytest.raises(ShapeMismatch, match="gate q=2, circuit q=3"):
+            Circuit(3, (Step(Lens(3, (0,)), hadamard()),), 3)
+
     def test_run_arity_validated(self):
         with pytest.raises(ShapeMismatch):
             Circuit(3, ()).run(zero_state(2))
@@ -848,6 +852,10 @@ class TestGhz:
         with pytest.raises(ShapeMismatch):
             ghz_circuit(-1)
 
+    def test_target_state_needs_a_wire(self):
+        with pytest.raises(ShapeMismatch, match="at least one wire"):
+            ghz_state(0)
+
     @pytest.mark.parametrize("depth", range(7))
     def test_steps_match_recursive_definition(self, depth):
         def recursive(d):
@@ -871,6 +879,10 @@ class TestReversal:
 
     def test_single_wire_has_no_steps(self):
         assert reversal_circuit(1).steps == ()
+
+    def test_negative_wire_count_rejected(self):
+        with pytest.raises(ShapeMismatch, match="wire count"):
+            reversal_circuit(-1)
 
     def test_three_wires_against_dense_route(self):
         # independent route: collapse the circuit and check the full matrix

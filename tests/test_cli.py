@@ -123,6 +123,7 @@ class TestParseCircuit:
             {"wires": 2, "ops": [{"gate": "cnot"}]},
             {"wires": 2, "ops": [{"gate": "cnot", "lens": "01"}]},
             {"wires": 2, "qudit_dim": 1, "ops": []},
+            {"wires": 2, "ops": [3]},
         ],
     )
     def test_structural_errors(self, circuit_file, doc):
@@ -196,7 +197,9 @@ class TestParseCircuit:
         assert parse_circuit(path).steps[0].gate is not gates[0]
 
     @pytest.mark.parametrize("name, lens, wires", [("cnot", [0], 2),
-                                                   ("identity(3)", [0, 1], 3)])
+                                                   ("identity(3)", [0, 1], 3),
+                                                   ("identity", [0, 1], 1),
+                                                   ("null", [], 1)])
     def test_builtin_arity_checked_on_every_op(self, name, lens, wires):
         # The same message whether the op names the builtin first or again.
         ok, bad = {"gate": name, "lens": list(range(wires))}, {"gate": name, "lens": lens}
@@ -292,12 +295,25 @@ class TestSpecRoundTrip:
                 circuit_to_spec(circ)
         assert circuit_to_spec(Circuit(2, (Step(lens, hadamard(), "hadamard"),)))
 
+    def test_unnamed_step_cannot_serialize(self):
+        circ = Circuit(2, (Step(Lens(2, (1,)), hadamard()),))
+        with pytest.raises(ParseError, match="no gate name"):
+            circuit_to_spec(circ)
+
 
 class TestRunCommand:
     def test_bit_flip_instance(self, circuit_file, capsys):
         path = circuit_file(BIT_FLIP_ENC)
         assert main(["run", path, "--input", "100"]) == 0
         assert capsys.readouterr().out.strip() == "111 1.0 0.0"
+
+    def test_bare_identity_is_one_wire(self, circuit_file, capsys):
+        ops = [{"gate": "identity", "lens": [1]}, {"gate": "cnot", "lens": [0, 1]}]
+        assert main(["run", circuit_file({"wires": 2, "ops": ops}), "--input", "10"]) == 0
+        assert capsys.readouterr().out == "11 1.0 0.0\n"
+        ops = [{"gate": "identity", "lens": [0, 1]}]
+        assert main(["run", circuit_file({"wires": 2, "ops": ops}), "--input", "10"]) == 2
+        assert "acts on 1 wires, lens has 2" in capsys.readouterr().err
 
     def test_ghz_amplitudes(self, tmp_path, capsys):
         ghz_path = str(tmp_path / "ghz.json")

@@ -11,6 +11,7 @@ from qlens import (
     Circuit,
     CurriedState,
     Gate,
+    IndexOutOfRange,
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -130,6 +131,10 @@ class TestUncurry:
         with pytest.raises(ShapeMismatch):
             uncurry(Lens(3, (0, 1)), view)
 
+    def test_block_table_shape_checked(self):
+        with pytest.raises(ShapeMismatch, match="block table"):
+            CurriedState(1, 1, 2, np.zeros((2, 3), dtype=complex))
+
 
 class TestMergeState:
     def test_basis_law(self):
@@ -168,6 +173,16 @@ class TestMergeState:
             merge_state(Lens(3, (0,)), (0, 0), ket((0,)))
         with pytest.raises(ShapeMismatch):
             merge_state(Lens(3, (0,)), (0, 0, 0), ket((0, 0)))
+
+    @pytest.mark.parametrize("v", [(0, 1, -1), (0, 5, 0), (0, 0, 2), (0, 0.5, 0)])
+    def test_complement_symbols_checked_as_ket_does(self, v):
+        # Each entry sits at tuple_to_index of the merged tuple, so a symbol
+        # outside [0, q), or one that is no integer, is refused: not read
+        # from the end, past the table or at a neighbour's index.
+        with pytest.raises(IndexOutOfRange):
+            merge_state(Lens(3, (0,)), v, ket((1,)))
+        with pytest.raises(IndexOutOfRange):
+            focus_on_basis(Lens(3, (0,)), hadamard(), v)
 
 
 class TestFocusApply:

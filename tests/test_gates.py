@@ -27,6 +27,7 @@ from qlens import (
     toffoli,
     unitarity_defect,
 )
+from qlens.gates import parametric_wires
 
 SEED = 1105
 
@@ -72,6 +73,14 @@ class TestConstruction:
     def test_non_power_dimension_rejected(self):
         with pytest.raises(ShapeMismatch):
             gate_from_matrix(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape, message", [((4,), "2-D"), ((2, 2, 2), "2-D"),
+                                                ((0, 0), "row dimension 0")])
+    def test_matrix_of_no_wire_count_rejected(self, shape, message):
+        # An empty matrix counts no wires: ShapeMismatch, not math.log's
+        # domain error.
+        with pytest.raises(ShapeMismatch, match=message):
+            Gate(np.zeros(shape))
 
     @pytest.mark.parametrize("q", [0, -2])
     def test_alphabet_below_one_rejected(self, q):
@@ -218,6 +227,18 @@ class TestBuiltins:
         with pytest.raises(UnknownGate):
             builtin("grover")
 
+    @pytest.mark.parametrize("name, wires", [("identity", 1), (" null ", 1), ("identity(0)", 0),
+                                             ("null(3)", 3), ("identity()", None),
+                                             ("hadamard", None), ("identityx", None)])
+    def test_parametric_wires_read_from_the_name(self, name, wires):
+        # A bare identity or null is the k = 1 case of identity(k), null(k).
+        assert parametric_wires(name) == wires
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bare_names_build_one_wire(self, q):
+        assert np.array_equal(builtin("identity", q).mat, identity(1, q).mat)
+        assert np.array_equal(builtin("null", q).mat, null(1, q).mat)
+
     @pytest.mark.parametrize("kind,k,q", [("identity", 40, 2), ("null", 40, 2),
                                           ("identity", 15, 2), ("null", 9, 3),
                                           ("identity", 20000, 2)])
@@ -293,6 +314,10 @@ class TestCompose:
         with pytest.raises(ShapeMismatch):
             compose(hadamard(), cnot())
 
+    def test_alphabet_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="alphabet"):
+            compose(identity(1, 3), hadamard())
+
 
 class TestBlockAction:
     def test_width_one_blocks_are_matvec(self):
@@ -324,6 +349,13 @@ class TestBlockAction:
     def test_ragged_blocks_rejected(self):
         with pytest.raises(ShapeMismatch):
             apply_to_blocks(hadamard(), [np.zeros(2), np.zeros(3)])
+
+    def test_object_blocks_rejected(self):
+        # numpy keeps ragged blocks it is handed as objects in an object array
+        blocks = np.empty(2, dtype=object)
+        blocks[0], blocks[1] = np.zeros(2), np.zeros(3)
+        with pytest.raises(ShapeMismatch, match="uniform shape"):
+            apply_to_blocks(hadamard(), blocks)
 
     def test_square_gate_required(self):
         with pytest.raises(ShapeMismatch):

@@ -41,6 +41,10 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             Lens(3, (-1,))
 
+    def test_negative_wire_count_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="negative wire count"):
+            Lens(-1, ())
+
     def test_empty_codomain(self):
         assert Lens(0, ()).m == 0
 

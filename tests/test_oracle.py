@@ -147,6 +147,10 @@ class TestBuildFullMatrix:
         with pytest.raises(ShapeMismatch):
             build_full_matrix(Lens(3, (0,)), Gate(np.zeros((4, 2))))
 
+    def test_gate_lens_arity_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="lens selects 1"):
+            build_full_matrix(Lens(3, (0,)), cnot())
+
     def test_qutrit_case(self):
         rng = np.random.default_rng(SEED)
         g = Gate(random_unitary(3, rng), 1, 1, q=3)

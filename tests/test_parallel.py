@@ -105,6 +105,14 @@ class TestFocusedConstruction:
 
             FocusedGate(3, Lens(3, (2, 0)), cnot())
 
+    def test_lens_codomain_and_gate_arity_checked(self):
+        from qlens import FocusedGate
+
+        with pytest.raises(ShapeMismatch, match="codomain"):
+            FocusedGate(3, Lens(2, (0,)), hadamard())
+        with pytest.raises(ShapeMismatch, match="square gate on 1 wires"):
+            FocusedGate(3, Lens(3, (0,)), cnot())
+
 
 class TestFocusedAction:
     def test_unit_is_identity(self):
@@ -245,6 +253,10 @@ class TestParallelGate:
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             parallel_gate(identity(8), identity(7))
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="alphabet"):
+            parallel_gate(hadamard(), identity(1, 3))
 
 
 class TestCombineAll:

@@ -136,6 +136,13 @@ class TestStateValues:
         with pytest.raises(SizeGuardExceeded):
             check_allocation(5, 2)
 
+    @pytest.mark.parametrize("n, q, message", [(-1, 2, "negative wire count"),
+                                               (1, 0, "alphabet size"),
+                                               (0, -3, "alphabet size")])
+    def test_allocation_needs_wires_and_an_alphabet(self, n, q, message):
+        with pytest.raises(IndexOutOfRange, match=message):
+            check_allocation(n, q)
+
     def test_amplitude_lookup(self):
         s = ket((1, 0))
         assert s.amplitude((1, 0)) == 1.0
@@ -162,6 +169,24 @@ class TestStateValues:
         with pytest.raises(ShapeMismatch):
             ket((0,)) + ket((0, 0))
 
+    def test_subtraction(self):
+        assert np.array_equal((ket((0,)) - ket((1,))).amps, [1, -1])
+        with pytest.raises(ShapeMismatch):
+            ket((0,)) - ket((0, 0))
+
+    @pytest.mark.parametrize("other", [np.array([1, 0]), [1, 0], None])
+    def test_compared_only_with_a_state(self, other):
+        s = ket((0,))
+        for compare in (s.max_dev, s.allclose, s.inner):
+            with pytest.raises(ShapeMismatch, match="expected State"):
+                compare(other)
+
+    def test_allclose_reads_the_largest_deviation(self):
+        s, t = ket((0,)), State(1, 2, [1, 1e-3])
+        assert s.max_dev(t) == 1e-3
+        assert s.allclose(t, tol=1e-3) and not s.allclose(t, tol=9e-4)
+        assert not s.allclose(t)
+
     @pytest.mark.parametrize("make", [lambda amps: State(1, 2, amps), from_amplitudes],
                              ids=["State", "from_amplitudes"])
     @pytest.mark.parametrize("amps", [
@@ -187,6 +212,19 @@ class TestStateValues:
     def test_from_amplitudes_rejects_non_power(self):
         with pytest.raises(ShapeMismatch):
             from_amplitudes([1, 0, 0])
+
+    @pytest.mark.parametrize("amps, q", [([], 2), ([], 3), ([1, 0, 0], 2), ([1, 0], 3),
+                                         ([1, 0], 1)])
+    def test_from_amplitudes_size_error_names_the_dimension(self, amps, q):
+        # No amplitudes at all is no power of q either: ShapeMismatch, not
+        # math.log's domain error.
+        with pytest.raises(ShapeMismatch, match=f"dimension {len(amps)} is not a power of q={q}"):
+            from_amplitudes(amps, q)
+
+    @pytest.mark.parametrize("q, n", [(1, 0), (2, 0), (2, 3), (3, 2), (5, 1)])
+    def test_from_amplitudes_counts_wires(self, q, n):
+        s = from_amplitudes(np.arange(q**n), q)
+        assert (s.n, s.q) == (n, q)
 
 
 class TestTextFormat:
