@@ -68,7 +68,6 @@ from .lens import (
     lens_single,
 )
 from .oracle import (
-    DenseOperator,
     assert_equiv,
     build_full_matrix,
     kron,

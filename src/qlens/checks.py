@@ -60,22 +60,17 @@ from .state import (
 
 @dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    max_dev: float
-    tol: float
-    detail: str = ""
-
-
-class _Law:
-    """Accumulates the worst deviation seen for one law and the detail of
+    """One law: the worst deviation seen over its draws and the detail of
     the draw that gave it, whether or not the law passes."""
 
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.max_dev = 0.0
-        self.detail = ""
+    name: str
+    tol: float
+    max_dev: float = 0.0
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.max_dev <= self.tol
 
     def see(self, dev: float, detail: str = "") -> None:
         if dev > self.max_dev:
@@ -83,10 +78,6 @@ class _Law:
 
     def see_bool(self, ok: bool, detail: str = "") -> None:
         self.see(0.0 if ok else 1.0, detail)
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.max_dev <= self.tol,
-                           self.max_dev, self.tol, self.detail)
 
 
 def _random_lens(n: int, m: int, rng: np.random.Generator) -> Lens:
@@ -99,14 +90,14 @@ def _random_gate(m: int, q: int, rng: np.random.Generator) -> Gate:
 
 def lens_laws(max_wires: int = 5, q: int = 2) -> list[CheckResult]:
     """Exhaustive get/put, positional, membership, and factorization laws."""
-    get_put = _Law("merge_extract", 0.0)
-    put_get = _Law("extract_merge", 0.0)
-    put_get_c = _Law("extractC_merge", 0.0)
-    positional = _Law("tnth_merge/mergeC/extract", 0.0)
-    membership = _Law("mem_lensC", 0.0)
-    factor = _Law("basis_perm_factorization", 0.0)
-    double_comp = _Law("double_complement", 0.0)
-    assoc = _Law("lens_comp_associativity", 0.0)
+    get_put = CheckResult("merge_extract", 0.0)
+    put_get = CheckResult("extract_merge", 0.0)
+    put_get_c = CheckResult("extractC_merge", 0.0)
+    positional = CheckResult("tnth_merge/mergeC/extract", 0.0)
+    membership = CheckResult("mem_lensC", 0.0)
+    factor = CheckResult("basis_perm_factorization", 0.0)
+    double_comp = CheckResult("double_complement", 0.0)
+    assoc = CheckResult("lens_comp_associativity", 0.0)
 
     for n in range(max_wires + 1):
         tuples = list(all_basis_tuples(n, q))
@@ -146,9 +137,8 @@ def lens_laws(max_wires: int = 5, q: int = 2) -> list[CheckResult]:
                     assoc.see_bool(lhs.idx == rhs.idx,
                                    f"{list(outer.idx)}∘{list(mid.idx)}∘{list(inner.idx)}")
 
-    return [law.result() for law in
-            (get_put, put_get, put_get_c, positional, membership,
-             factor, double_comp, assoc)]
+    return [get_put, put_get, put_get_c, positional, membership,
+            factor, double_comp, assoc]
 
 
 def _classical_dev(lens: Lens, perm: np.ndarray, v: tuple[int, ...], q: int) -> float:
@@ -166,15 +156,15 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
                q: int = 2) -> list[CheckResult]:
     """Randomized algebra of focusing: cancellation, composition, naturality."""
     rng = np.random.default_rng(seed)
-    cancel = _Law("curry_uncurry_cancellation", 0.0)
-    fast_ref = _Law("fast_vs_reference", 1e-12)
-    basis_step = _Law("focus_on_basis_step", 1e-12)
-    comp = _Law("focus_comp", 1e-10)
-    comp_lens = _Law("focus_lens_comp", 1e-10)
-    comm = _Law("focus_disjoint_commute", 1e-10)
-    uni = _Law("unitary_focus", 1e-10)
-    natural = _Law("block_naturality", 1e-12)
-    classical = _Law("classical_permutation_focus", 0.0)
+    cancel = CheckResult("curry_uncurry_cancellation", 0.0)
+    fast_ref = CheckResult("fast_vs_reference", 1e-12)
+    basis_step = CheckResult("focus_on_basis_step", 1e-12)
+    comp = CheckResult("focus_comp", 1e-10)
+    comp_lens = CheckResult("focus_lens_comp", 1e-10)
+    comm = CheckResult("focus_disjoint_commute", 1e-10)
+    uni = CheckResult("unitary_focus", 1e-10)
+    natural = CheckResult("block_naturality", 1e-12)
+    classical = CheckResult("classical_permutation_focus", 0.0)
 
     for _ in range(trials):
         n = int(rng.integers(1, max_wires + 1))
@@ -254,7 +244,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
         classical.see(_classical_dev(lens, perm, v, q), f"n={n} lens={list(lens.idx)}")
 
     # Drawn from their own generator, so the draws above stay as they were.
-    fusion = _Law("fusion_equivalence", 1e-10)
+    fusion = CheckResult("fusion_equivalence", 1e-10)
     rng = np.random.default_rng([seed, 1])
     for _ in range(trials):
         circ = _random_mixed_circuit(int(rng.integers(1, min(max_wires, 6) + 1)),
@@ -287,7 +277,7 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
     # Gathers and permutation steps alike, into Rows ops.  Runs that start
     # on basis kets (to_gate, run_basis) have their opening Rows, first
     # product and the Rows after it written by the basis fill.
-    collapse = _Law("identity_plan_collapse", 1e-10)
+    collapse = CheckResult("identity_plan_collapse", 1e-10)
     rng = np.random.default_rng([seed, 2])
     kets = np.random.default_rng([seed, 3])
     for q_big, low, high in ((2, 7, 8), (3, 5, 5)):
@@ -312,8 +302,8 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
     # The text printed from a covered run's support must be the reference's:
     # at least for one product between the ladder and the reversal, whose
     # columns hold an exact 0 and a magnitude below the threshold 0.3.
-    basis_run = _Law("basis_run_vs_reference", 1e-12)
-    text = _Law("basis_text_vs_reference", 0.0)
+    basis_run = CheckResult("basis_run_vs_reference", 1e-12)
+    text = CheckResult("basis_text_vs_reference", 0.0)
     rng, kets = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 5])
     texts = np.random.default_rng([seed, 6])
     for q_big in (2, 3):
@@ -341,9 +331,8 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
             text.see_bool(_text_matches(circ, v) == [True, True],
                           f"n={n} q={q_big} product on {list(step.lens.idx)} basis={v}")
 
-    return [law.result() for law in
-            (cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-             natural, classical, fusion, collapse, basis_run, text)]
+    return [cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
+            natural, classical, fusion, collapse, basis_run, text]
 
 
 def _text_matches(circ: circuits.Circuit, v: tuple[int, ...]) -> list[bool]:
@@ -396,13 +385,13 @@ def _random_mixed_circuit(n: int, q: int, rng: np.random.Generator) -> circuits.
 
 def unitarity(seed: int = 0, trials: int = 10) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    builtins = _Law("builtin_unitarity", 1e-12)
+    builtins = CheckResult("builtin_unitarity", 1e-12)
     for name in ("hadamard", "cnot", "toffoli", "swap", "identity(2)"):
         builtins.see(unitarity_defect(builtin(name)), name)
 
-    rand = _Law("random_unitary", 1e-12)
-    comp = _Law("unitary_composition", 1e-10)
-    focus_uni = _Law("focused_unitarity", 1e-10)
+    rand = CheckResult("random_unitary", 1e-12)
+    comp = CheckResult("unitary_composition", 1e-10)
+    focus_uni = CheckResult("focused_unitarity", 1e-10)
     for _ in range(trials):
         m = int(rng.integers(1, 4))
         f, g = _random_gate(m, 2, rng), _random_gate(m, 2, rng)
@@ -412,14 +401,14 @@ def unitarity(seed: int = 0, trials: int = 10) -> list[CheckResult]:
         lens = _random_lens(n, m, rng)
         focus_uni.see(unitarity_defect(focus_as_gate(lens, f)),
                       f"n={n} lens={list(lens.idx)}")
-    return [builtins.result(), rand.result(), comp.result(), focus_uni.result()]
+    return [builtins, rand, comp, focus_uni]
 
 
 def oracle_suite(seed: int = 0, trials: int = 200, max_wires: int = 6,
                  max_support: int = 3) -> list[CheckResult]:
     """Differential test of focusing against the dense kron+permutation build."""
     rng = np.random.default_rng(seed)
-    fixed = _Law("oracle_builtin_gates", 1e-12)
+    fixed = CheckResult("oracle_builtin_gates", 1e-12)
     named = {1: [hadamard(), identity()], 2: [cnot(), swap()], 3: [toffoli()]}
     for n in range(1, 5):
         for m, gs in named.items():
@@ -430,7 +419,7 @@ def oracle_suite(seed: int = 0, trials: int = 200, max_wires: int = 6,
                     fixed.see(assert_equiv(lens, g, trials=2, rng=rng),
                               f"n={n} lens={list(lens.idx)}")
 
-    rand = _Law("oracle_random_unitaries", 1e-10)
+    rand = CheckResult("oracle_random_unitaries", 1e-10)
     for _ in range(trials):
         n = int(rng.integers(1, max_wires + 1))
         m = int(rng.integers(1, min(max_support, n) + 1))
@@ -438,7 +427,7 @@ def oracle_suite(seed: int = 0, trials: int = 200, max_wires: int = 6,
         g = _random_gate(m, 2, rng)
         rand.see(assert_equiv(lens, g, trials=1, rng=rng),
                  f"n={n} lens={list(lens.idx)}")
-    return [fixed.result(), rand.result()]
+    return [fixed, rand]
 
 
 def _monoid_pool(n: int = 4) -> list[FocusedGate]:
@@ -456,13 +445,13 @@ def monoid(seed: int = 0, max_wires: int = 6, trials: int = 20) -> list[CheckRes
     n = 4
     pool = _monoid_pool(n)
 
-    commut = _Law("combine_commutativity", 1e-12)
+    commut = CheckResult("combine_commutativity", 1e-12)
     for a in pool:
         for b in pool:
             commut.see_bool(combine(a, b).isclose(combine(b, a), 1e-12),
                             f"{a.support} vs {b.support}")
 
-    assoc = _Law("combine_associativity", 1e-12)
+    assoc = CheckResult("combine_associativity", 1e-12)
     for a in pool:
         for b in pool:
             ab = combine(a, b)
@@ -470,7 +459,7 @@ def monoid(seed: int = 0, max_wires: int = 6, trials: int = 20) -> list[CheckRes
                 assoc.see_bool(combine(ab, c).isclose(combine(a, combine(b, c)), 1e-12),
                                f"{a.support},{b.support},{c.support}")
 
-    unit = _Law("unit_and_absorption", 0.0)
+    unit = CheckResult("unit_and_absorption", 0.0)
     one = identity_focused(n)
     err = error_focused(n)
     for a in pool:
@@ -478,7 +467,7 @@ def monoid(seed: int = 0, max_wires: int = 6, trials: int = 20) -> list[CheckRes
         unit.see_bool(combine(a, one).isclose(a, 0.0), f"{a.support}")
         unit.see_bool(combine(err, a).is_err and combine(a, err).is_err, f"{a.support}")
 
-    disj = _Law("sequential_vs_parallel_fold", 1e-10)
+    disj = CheckResult("sequential_vs_parallel_fold", 1e-10)
     for _ in range(trials):
         nn = int(rng.integers(2, max_wires + 1))
         wires = list(rng.permutation(nn))
@@ -495,53 +484,53 @@ def monoid(seed: int = 0, max_wires: int = 6, trials: int = 20) -> list[CheckRes
         s = random_state(nn, 2, rng)
         disj.see(seq(s).max_dev(par.apply(s)), f"n={nn} k={len(family)}")
 
-    return [commut.result(), assoc.result(), unit.result(), disj.result()]
+    return [commut, assoc, unit, disj]
 
 
 def example_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     comps = circuits.shor_components()
 
-    bfe_law = _Law("bit_flip_encoding", 1e-12)
+    bfe_law = CheckResult("bit_flip_encoding", 1e-12)
     for (i, j, k) in all_basis_tuples(3):
         got = comps["bit_flip_enc"].run(ket((i, j, k)))
         bfe_law.see(got.max_dev(ket((i, (i + j) % 2, (i + k) % 2))), f"{(i, j, k)}")
 
-    bft = _Law("bit_flip_majority_vote", 1e-10)
+    bft = CheckResult("bit_flip_majority_vote", 1e-10)
     maj = focus_as_gate(Lens(3, (1, 2, 0)), toffoli())
     for v in all_basis_tuples(3):
         roundtrip = comps["bit_flip_dec"].run(comps["bit_flip_enc"].run(ket(v)))
         bft.see(roundtrip.max_dev(maj.apply(ket(v))), f"{v}")
 
-    sft = _Law("sign_flip_majority_vote", 1e-9)
+    sft = CheckResult("sign_flip_majority_vote", 1e-9)
     for _ in range(10):
         s = random_state(3, 2, rng)
         roundtrip = comps["sign_flip_dec"].run(comps["sign_flip_enc"].run(s))
         sft.see(roundtrip.max_dev(maj.apply(s)))
 
-    invol = _Law("hadamard_layer_involution", 1e-10)
+    invol = CheckResult("hadamard_layer_involution", 1e-10)
     for _ in range(10):
         s = random_state(3, 2, rng)
         invol.see(comps["hadamard3"].run(comps["hadamard3"].run(s)).max_dev(s))
 
-    shor = _Law("shor_roundtrip_identity", 1e-9)
+    shor = CheckResult("shor_roundtrip_identity", 1e-9)
     for i in (0, 1):
         inp = ket((i,) + (0,) * 8)
         out = comps["shor_dec"].run(comps["shor_enc"].run(inp))
         shor.see(out.max_dev(inp), f"i={i}")
 
-    ghz = _Law("ghz_preparation", 1e-9)
+    ghz = CheckResult("ghz_preparation", 1e-9)
     for wires in range(1, 17):
         got = circuits.ghz_circuit(wires - 1).run(ket((0,) * wires))
         ghz.see(got.max_dev(circuits.ghz_state(wires)), f"wires={wires}")
 
-    rev = _Law("reversal_on_basis", 1e-9)
+    rev = CheckResult("reversal_on_basis", 1e-9)
     for n in range(9):
         circ = circuits.reversal_circuit(n)
         for v in all_basis_tuples(n):
             rev.see(circ.run(ket(v)).max_dev(ket(v[::-1])), f"n={n} v={v}")
 
-    marg = _Law("reversal_marginal_invariance", 1e-10)
+    marg = CheckResult("reversal_marginal_invariance", 1e-10)
     for n in range(1, 7):
         circ = circuits.reversal_circuit(n)
         for _ in range(5):
@@ -552,8 +541,7 @@ def example_suite(seed: int = 0) -> list[CheckResult]:
                 got = circuits.marginal(lens_single(n, n - 1 - i), rs)
                 marg.see(float(np.max(np.abs(got - want), initial=0.0)), f"n={n} i={i}")
 
-    return [law.result() for law in
-            (bfe_law, bft, sft, invol, shor, ghz, rev, marg)]
+    return [bfe_law, bft, sft, invol, shor, ghz, rev, marg]
 
 
 SCOPES = {

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gates import Gate, apply_to_blocks, check_dense_size
 from .lens import Lens
-from .state import _CHUNK_BYTES, State, all_basis_tuples, check_working_set, ket, tuple_to_index
+from .state import (_CHUNK_BYTES, State, _complex_array, all_basis_tuples, check_working_set,
+                    ket, tuple_to_index)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class CurriedState:
     blocks: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", _complex_array(self.blocks, "blocks"))
         expect = (self.q**self.outer, self.q**self.inner)
         if self.blocks.shape != expect:
             raise ShapeMismatch(f"expected block table {expect}, got {self.blocks.shape}")

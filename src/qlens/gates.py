@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     ShapeMismatch,
-    SizeGuardExceeded,
     UnknownGate,
     UnsupportedAlphabet,
 )
-from .state import State, _complex_array, _wires_of
+from .state import State, _check_size, _complex_array, _wires_of
 
 # Correctly rounded 1/sqrt(2); sqrt(0.5) is exact to the last ulp while
 # 1/sqrt(2) picks up a second rounding.
@@ -32,13 +31,10 @@ MAX_DENSE_BITS = 14
 
 
 def check_dense_size(n: int, q: int) -> int:
-    limit = MAX_DENSE_BITS
-    # For q >= 2, n > limit already decides it: q**n may be too big to compute.
-    if (q > 1 and n > limit) or q**n > 2**limit:
-        raise SizeGuardExceeded(
-            f"dense operator on {n} wires with q={q} exceeds the 2**{limit} guard"
-        )
-    return q**n
+    """Validate that a q**n x q**n operator fits the guard; returns q**n."""
+    bits = MAX_DENSE_BITS
+    return _check_size(n, q, 2**bits,
+                       f"dense operator on {{n}} wires with q={{q}} exceeds the 2**{bits} guard")
 
 
 class Gate:

@@ -1,15 +1,15 @@
 """Dense differential-testing oracle: Kronecker padding plus wire permutation.
 
-This module rebuilds a focused gate as an explicit q**n x q**n matrix the
-textbook way — pad the gate with an identity Kronecker factor, then conjugate
-with the permutation that routes the selected wires to the front.  It is
-deliberately naive and allocation-heavy; its only job is to catch bugs in the
-focusing fast path, so it never shares code with it.
+This module rebuilds a focused gate as an explicit q**n x q**n matrix, a
+square Gate on all n wires, the textbook way — pad the gate with an identity
+Kronecker factor, then conjugate with the permutation that routes the
+selected wires to the front.  It is deliberately naive and
+allocation-heavy; its only job is to catch bugs in the focusing fast path,
+so it never shares code with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,27 +17,7 @@ import numpy as np
 from .errors import InvalidPermutation, ShapeMismatch
 from .gates import Gate, check_dense_size
 from .lens import Lens
-from .state import State, random_state
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A full q**n x q**n matrix acting on n-wire states."""
-
-    n: int
-    q: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        dim = self.q**self.n
-        if self.mat.shape != (dim, dim):
-            raise ShapeMismatch(f"expected {dim}x{dim} matrix, got {self.mat.shape}")
-
-    def apply(self, state: State) -> State:
-        if state.n != self.n or state.q != self.q:
-            raise ShapeMismatch(
-                f"operator on ({self.n}, q={self.q}) applied to ({state.n}, q={state.q})"
-            )
-        return State(self.n, self.q, self.mat @ state.amps, _trusted=True)
+from .state import random_state
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,7 +32,7 @@ def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_matrix(n: int, perm: Sequence[int], q: int = 2) -> DenseOperator:
+def perm_matrix(n: int, perm: Sequence[int], q: int = 2) -> Gate:
     """Matrix sending ket(t) to ket(t') with t'[j] = t[perm[j]].
 
     perm must be a bijection of [0, n); the result is a 0/1 unitary.
@@ -71,10 +51,10 @@ def perm_matrix(n: int, perm: Sequence[int], q: int = 2) -> DenseOperator:
         rows = rows * q + digits[perm[j]]
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[rows, np.arange(dim)] = 1.0
-    return DenseOperator(n, q, mat)
+    return Gate(mat, n, n, q, _trusted=True)
 
 
-def build_full_matrix(lens: Lens, gate: Gate) -> DenseOperator:
+def build_full_matrix(lens: Lens, gate: Gate) -> Gate:
     """Dense matrix of a gate focused at a lens: U(rho)^-1 (M ⊗ I) U(rho).
 
     rho routes the lens wires to the leading positions (complement wires keep
@@ -86,12 +66,11 @@ def build_full_matrix(lens: Lens, gate: Gate) -> DenseOperator:
     if gate.wires_in != lens.m:
         raise ShapeMismatch(f"gate acts on {gate.wires_in} wires, lens selects {lens.m}")
     n, q = lens.n, gate.q
-    dim = check_dense_size(n, q)
     rho = lens.idx + lens.complement.idx
     gather = perm_matrix(n, rho, q)
     scatter = perm_matrix(n, inverse_permutation(rho), q)
     padded = kron(gate.mat, np.eye(q ** (n - lens.m), dtype=np.complex128))
-    return DenseOperator(n, q, scatter.mat @ padded @ gather.mat)
+    return Gate(scatter.mat @ padded @ gather.mat, n, n, q, _trusted=True)
 
 
 def random_unitary(dim: int, rng: np.random.Generator | None = None) -> np.ndarray:

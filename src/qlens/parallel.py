@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .focus import _collapse, focus_apply, focus_as_gate
 from .gates import Gate, identity, null
-from .lens import Lens, lens_empty, lens_id, lens_left, lens_right
+from .lens import Lens, lens_empty, lens_left, lens_right
 from .state import State
 
 
@@ -89,8 +89,9 @@ def identity_focused(n: int, q: int = 2) -> FocusedGate:
 
 
 def error_focused(n: int, q: int = 2) -> FocusedGate:
-    """Absorbing element: full support, zero gate; maps every state to zero."""
-    return FocusedGate(n, lens_id(n), null(n, q), is_err=True)
+    """Absorbing element: the flagged zero scalar on no wires; it maps every
+    state to zero and holds no matrix of the ambient size."""
+    return FocusedGate(n, lens_empty(n), null(0, q), is_err=True)
 
 
 def parallel_gate(f: Gate, g: Gate) -> Gate:

@@ -36,18 +36,24 @@ _CHUNK_BYTES = 1 << 20
 BasisTuple = tuple[int, ...]
 
 
-def check_allocation(n: int, q: int) -> int:
-    """Validate that a q**n amplitude table fits the guard; returns q**n."""
+def _check_size(n: int, q: int, limit: int, message: str) -> int:
+    """q**n for n >= 0 wires over q >= 1 symbols, else IndexOutOfRange;
+    SizeGuardExceeded with ``message`` (formatted with n, q and limit) once
+    q**n passes ``limit``."""
     if n < 0:
         raise IndexOutOfRange(f"negative wire count {n}")
     if q < 1:
         raise IndexOutOfRange(f"alphabet size must be positive, got {q}")
-    limit = MAX_STATE_ENTRIES
     # For q >= 2, q**n >= 2**n > limit once n reaches limit's bit length: that
     # decides it without q**n, which may be too big to compute or to print.
     if (q > 1 and n >= limit.bit_length()) or q**n > limit:
-        raise SizeGuardExceeded(f"{q}**{n} amplitudes exceeds guard {limit}")
+        raise SizeGuardExceeded(message.format(n=n, q=q, limit=limit))
     return q**n
+
+
+def check_allocation(n: int, q: int) -> int:
+    """Validate that a q**n amplitude table fits the guard; returns q**n."""
+    return _check_size(n, q, MAX_STATE_ENTRIES, "{q}**{n} amplitudes exceeds guard {limit}")
 
 
 def _complex_array(values, what: str) -> np.ndarray:
@@ -222,7 +228,7 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
     Entries that are exactly zero or below the magnitude threshold are
     omitted; omitted entries read back as zero.  Amplitudes are printed with
     shortest round-trip precision, so parsing the text recovers the state
-    bit-exactly.  Requires q <= 10 (single-character digits).
+    bit-exactly.  Requires q <= 10 (single-character digits) and n >= 1.
     """
     amps, step = state.amps, _CHUNK_BYTES // 16
     mag, keep = np.empty(min(step, amps.size)), []
@@ -237,8 +243,11 @@ def state_to_text(state: State, threshold: float = 0.0) -> str:
 def support_to_text(n: int, q: int, indices: np.ndarray, values: np.ndarray,
                     threshold: float = 0.0) -> str:
     """state_to_text of the n-wire state that holds ``values`` at the
-    ascending flat ``indices`` and 0 elsewhere, without building it."""
+    ascending flat ``indices`` and 0 elsewhere, without building it.  A
+    state of no wires has no text form: its line would have no digits."""
     check_text_alphabet(q)
+    if n < 1:
+        raise ShapeMismatch(f"text format needs at least one wire, got {n}")
     mag = np.abs(values)
     keep = ~((mag == 0.0) | (mag < threshold))
     lines = []

@@ -12,7 +12,7 @@ import qlens.circuits as circuits_module
 import qlens.focus as focus_module
 import qlens.parallel as parallel_module
 from qlens import Circuit, Gate, Lens
-from qlens.checks import _Law, run_scope
+from qlens.checks import CheckResult, run_scope
 from qlens.cli import main
 
 
@@ -180,10 +180,9 @@ def test_planted_fault_fails_a_law(monkeypatch, plant):
 
 
 def test_passing_law_keeps_the_witness_of_its_worst_draw():
-    law = _Law("law", 1.0)
+    result = CheckResult("law", 1.0)
     for dev, detail in [(0.25, "first"), (0.5, "worst"), (0.5, "tie"), (0.0, "exact")]:
-        law.see(dev, detail)
-    result = law.result()
+        result.see(dev, detail)
     assert result.passed and (result.max_dev, result.detail) == (0.5, "worst")
 
 

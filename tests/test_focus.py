@@ -135,6 +135,21 @@ class TestUncurry:
         with pytest.raises(ShapeMismatch, match="block table"):
             CurriedState(1, 1, 2, np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("blocks", [np.array([["a"], ["b"]]), [[1.0], [1.0, 2.0]],
+                                        [[np.nan], [0.0]], [[np.inf], [0.0]]],
+                             ids=["strings", "ragged", "nan", "inf"])
+    def test_bad_blocks_refused(self, blocks):
+        # uncurry builds its State trusted from the blocks, so they are
+        # refused here, as State refuses them.
+        with pytest.raises(ShapeMismatch, match="blocks must"):
+            CurriedState(1, 0, 2, blocks)
+
+    def test_integer_blocks_give_complex_amplitudes(self):
+        # blocks[v][w] is the amplitude at merge(lens, v, w) = (w, v)
+        s = uncurry(Lens(2, (1,)), CurriedState(1, 1, 2, np.array([[1, 2], [3, 4]])))
+        assert s.amps.dtype == np.complex128
+        assert np.array_equal(s.amps, [1, 3, 2, 4])
+
 
 class TestMergeState:
     def test_basis_law(self):

@@ -27,7 +27,7 @@ from qlens import (
     toffoli,
     unitarity_defect,
 )
-from qlens.gates import parametric_wires
+from qlens.gates import check_dense_size, parametric_wires
 
 SEED = 1105
 
@@ -249,6 +249,25 @@ class TestBuiltins:
             builtin(f"{kind}({k})", q)
         with pytest.raises(SizeGuardExceeded):
             {"identity": identity, "null": null}[kind](k, q)
+
+    @pytest.mark.parametrize("make", [identity, null])
+    def test_negative_size_refused(self, make):
+        # not read as a dimension: 2**-1 is 0.5
+        with pytest.raises(IndexOutOfRange, match="negative wire count"):
+            make(-1)
+
+    @pytest.mark.parametrize("n, q, message", [(-1, 2, "negative wire count"),
+                                               (1, 0, "alphabet size"),
+                                               (0, -3, "alphabet size")])
+    def test_dense_guard_needs_wires_and_an_alphabet(self, n, q, message):
+        with pytest.raises(IndexOutOfRange, match=message):
+            check_dense_size(n, q)
+
+    def test_dense_guard_message(self):
+        with pytest.raises(SizeGuardExceeded,
+                           match=r"^dense operator on 15 wires with q=2 exceeds the 2\*\*14 guard$"):
+            check_dense_size(15, 2)
+        assert check_dense_size(14, 2) == 2**14 and check_dense_size(0, 5) == 1
 
     def test_qutrit_hadamard_unsupported(self):
         with pytest.raises(UnsupportedAlphabet):

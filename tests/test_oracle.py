@@ -1,11 +1,12 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from qlens import (
-    DenseOperator,
     Gate,
+    IndexOutOfRange,
     InvalidPermutation,
     Lens,
     ShapeMismatch,
@@ -21,17 +22,39 @@ from qlens import (
     ket,
     kron,
     lens_id,
+    null,
     perm_matrix,
     random_state,
     random_unitary,
     swap,
     toffoli,
+    tuple_to_index,
 )
 import qlens.gates as gates_module
 from qlens.oracle import inverse_permutation
 from _helpers import max_entry, random_gate, random_lens
 
 SEED = 7321
+
+BUILTINS = {0: [identity(0), null(0)], 1: [hadamard(), identity(1), null(1)],
+            2: [cnot(), swap(), identity(2)], 3: [toffoli()], 4: [identity(4)]}
+
+
+def is_oracle_gate(op, n: int, q: int) -> bool:
+    """A square Gate on all n wires whose matrix nobody can write."""
+    return (isinstance(op, Gate) and op.wires == n and op.q == q
+            and not op.mat.flags.writeable)
+
+
+def dense_by_merge(lens: Lens, gate: Gate) -> np.ndarray:
+    """The focused gate's matrix entry by entry from the lens laws: column
+    merge(b, c) holds column b of the gate at the rows merge(a, c)."""
+    n, m, q = lens.n, lens.m, gate.q
+    pos = np.array([[tuple_to_index(lens.merge(u, c), q) for c in all_basis_tuples(n - m, q)]
+                    for u in all_basis_tuples(m, q)])
+    want = np.zeros((q**n, q**n), dtype=complex)
+    want[pos[:, None, :], pos[None, :, :]] = gate.mat[:, :, None]
+    return want
 
 
 class TestKron:
@@ -89,6 +112,20 @@ class TestPermMatrix:
         with pytest.raises(InvalidPermutation):
             perm_matrix(len(perm), perm)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_permutation_is_an_exact_gate(self, q):
+        for n in range(5):
+            for perm in permutations(range(n)):
+                op = perm_matrix(n, perm, q)
+                want = np.zeros((q**n, q**n))
+                for t in all_basis_tuples(n, q):
+                    want[tuple_to_index([t[p] for p in perm], q), tuple_to_index(t, q)] = 1
+                assert is_oracle_gate(op, n, q) and np.array_equal(op.mat, want)
+
+    def test_negative_size_refused(self):
+        with pytest.raises(IndexOutOfRange, match="negative wire count"):
+            perm_matrix(-1, [])
+
     def test_qutrit_permutation(self):
         op = perm_matrix(2, (1, 0), q=3)
         for t in all_basis_tuples(2, 3):
@@ -130,6 +167,19 @@ class TestBuildFullMatrix:
                 col = focus_apply(lens, g, ket(v)).amps
                 assert max_entry(dense.mat[:, j], col) <= 1e-12
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_lens_is_an_exact_gate(self, q):
+        # Kron padding and 0/1 conjugation only move entries, so each one is
+        # exactly the gate's entry that the lens laws put there.
+        rng = np.random.default_rng(SEED)
+        for n in range(5):
+            for lens in all_lenses(n):
+                gates = BUILTINS[lens.m] if q == 2 else [identity(lens.m, q), null(lens.m, q)]
+                for g in gates + [random_gate(lens.m, q, rng)]:
+                    dense = build_full_matrix(lens, g)
+                    assert is_oracle_gate(dense, n, q)
+                    assert np.array_equal(dense.mat, dense_by_merge(lens, g))
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             build_full_matrix(Lens(15, (0,)), hadamard())
@@ -141,7 +191,7 @@ class TestBuildFullMatrix:
         with pytest.raises(SizeGuardExceeded):
             build_full_matrix(Lens(4, (0,)), hadamard())
         monkeypatch.setattr(gates_module, "MAX_DENSE_BITS", 4)
-        assert build_full_matrix(Lens(4, (0,)), hadamard()).n == 4
+        assert build_full_matrix(Lens(4, (0,)), hadamard()).wires == 4
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -187,17 +237,6 @@ class TestAssertEquiv:
         rng = np.random.default_rng(SEED)
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert assert_equiv(random_lens(4, 2, rng), Gate(mat), trials=5, rng=rng) <= 1e-12
-
-
-class TestDenseOperator:
-    def test_shape_validation(self):
-        with pytest.raises(ShapeMismatch):
-            DenseOperator(2, 2, np.zeros((3, 3), dtype=complex))
-
-    def test_apply_shape_check(self):
-        op = DenseOperator(2, 2, np.eye(4, dtype=complex))
-        with pytest.raises(ShapeMismatch):
-            op.apply(ket((0,)))
 
 
 class TestRandomUnitary:

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -147,6 +148,24 @@ class TestCombine:
         a = focused(Lens(3, (0, 2)), cnot())
         b = focused(lens_single(3, 2), hadamard())
         assert combine(a, b).is_err
+
+    def test_overlap_past_the_dense_guard_is_error(self):
+        # The error element is the flagged zero scalar on no wires, so an
+        # overlap on 20 wires needs no 2**20 x 2**20 zero matrix.
+        a = focused(Lens(20, (0,)), hadamard())
+        err = combine(a, a)
+        assert err.is_err and err.support == () and err.gate.mat.shape == (1, 1)
+
+    def test_overlap_allocates_no_ambient_matrix(self):
+        a = focused(Lens(10, (0, 1)), cnot())
+        b = focused(lens_single(10, 1), hadamard())
+        tracemalloc.start()
+        try:
+            assert combine(a, b).is_err
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 2**10 x 2**10 zero matrix is 16 MiB
 
     def test_error_absorbs(self):
         a = focused(lens_single(3, 1), hadamard())

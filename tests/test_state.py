@@ -247,6 +247,13 @@ class TestTextFormat:
         text = state_to_text(s, threshold=1e-6)
         assert text.splitlines() == [f"00 {0.9999999!r} 0.0"]
 
+    def test_zero_wire_state_has_no_text(self):
+        # Its one line would have no digits, which state_from_text refuses.
+        with pytest.raises(ShapeMismatch, match="at least one wire"):
+            state_to_text(State(0, 2, [1]))
+        with pytest.raises(ShapeMismatch, match="at least one wire"):
+            support_to_text(0, 2, np.array([0]), np.array([1j]))
+
     def test_qutrit_digits(self):
         s = ket((2, 1), q=3)
         assert state_to_text(s) == "21 1.0 0.0"
