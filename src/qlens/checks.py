@@ -331,8 +331,28 @@ def focus_laws(seed: int = 0, max_wires: int = 6, trials: int = 20,
             text.see_bool(_text_matches(circ, v) == [True, True],
                           f"n={n} q={q_big} product on {list(step.lens.idx)} basis={v}")
 
+    # Embedding is natural: a circuit embedded along L runs as its collapsed
+    # gate focused at L, and embedding twice embeds along the composite.
+    embed = CheckResult("embedding_naturality", 1e-10)
+    rng = np.random.default_rng([seed, 7])
+    for _ in range(trials):
+        n = int(rng.integers(2, min(max_wires, 6) + 1))
+        k = int(rng.integers(2, n + 1))
+        circ = _random_mixed_circuit(k, q, rng)
+        lens = _random_lens(n, k, rng)
+        if lens.is_sorted():
+            lens = Lens(n, lens.idx[::-1])
+        outer = _random_lens(int(rng.integers(n, n + 3)), n, rng)
+        s = random_state(n, q, rng)
+        where = f"{_where(circ)} L={list(lens.idx)}"
+        embed.see(circ.embedded(lens).run(s).max_dev(
+            focus_apply_reference(lens, circ.to_gate(), s)), where)
+        twice = [st.lens for st in circ.embedded(lens).embedded(outer).steps]
+        once = [st.lens for st in circ.embedded(outer.compose(lens)).steps]
+        embed.see_bool(twice == once, f"{where} L2={list(outer.idx)}")
+
     return [cancel, fast_ref, basis_step, comp, comp_lens, comm, uni,
-            natural, classical, fusion, collapse, basis_run, text]
+            natural, classical, fusion, collapse, basis_run, text, embed]
 
 
 def _text_matches(circ: circuits.Circuit, v: tuple[int, ...]) -> list[bool]:
@@ -541,7 +561,35 @@ def example_suite(seed: int = 0) -> list[CheckResult]:
                 got = circuits.marginal(lens_single(n, n - 1 - i), rs)
                 marg.see(float(np.max(np.abs(got - want), initial=0.0)), f"n={n} i={i}")
 
-    return [bfe_law, bft, sft, invol, shor, ghz, rev, marg]
+    # The example circuits are their definitions from components: GHZ by
+    # its recursion, the Shor code by embedding the three-wire codes.
+    recursive = CheckResult("recursive_definition", 0.0)
+    level = circuits.Circuit(1, (circuits.Step(lens_single(1, 0), hadamard()),))
+    for d in range(201):
+        if d:
+            cx = circuits.Step(lens_pair(d + 1, d - 1, d), cnot())
+            level = circuits.Circuit(
+                d + 1, level.embedded(lens_single(d + 1, d).complement).steps + (cx,))
+        recursive.see_bool(_same_steps(circuits.ghz_circuit(d), level), f"ghz depth={d}")
+    sfe = comps["bit_flip_enc"].steps + comps["hadamard3"].steps
+    sfd = comps["hadamard3"].steps + comps["bit_flip_dec"].steps
+    triples = [Lens(9, (3 * i, 3 * i + 1, 3 * i + 2)) for i in range(3)]
+    spread = Lens(9, (0, 3, 6))
+    enc = circuits.Circuit(3, sfe).embedded(spread).steps + tuple(
+        st for t in triples[::-1] for st in comps["bit_flip_enc"].embedded(t).steps)
+    dec = tuple(st for t in triples for st in comps["bit_flip_dec"].embedded(t).steps)
+    dec += circuits.Circuit(3, sfd).embedded(spread).steps
+    for name, steps in (("shor_enc", enc), ("shor_dec", dec)):
+        recursive.see_bool(_same_steps(comps[name], circuits.Circuit(9, steps)), name)
+
+    return [bfe_law, bft, sft, invol, shor, ghz, rev, marg, recursive]
+
+
+def _same_steps(a: circuits.Circuit, b: circuits.Circuit) -> bool:
+    """Whether a and b are the same steps: lenses and gate matrices equal."""
+    return (a.n, a.q, len(a.steps)) == (b.n, b.q, len(b.steps)) and all(
+        s.lens == t.lens and np.array_equal(s.gate.mat, t.gate.mat)
+        for s, t in zip(a.steps, b.steps))
 
 
 SCOPES = {

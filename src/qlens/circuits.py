@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _basis_walk, _collapse, _execute, _plan, curry
+from .focus import _basis_walk, _check_gate, _collapse, _execute, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
@@ -59,12 +59,10 @@ class Circuit:
         for k, step in enumerate(self.steps):
             if step.lens.n != self.n:
                 raise ShapeMismatch(f"step {k}: lens targets {step.lens.n} of {self.n} wires")
-            if not step.gate.is_square or step.gate.wires_in != step.lens.m:
-                raise ShapeMismatch(
-                    f"step {k}: gate arity {step.gate.wires_in} != lens arity {step.lens.m}"
-                )
-            if step.gate.q != self.q:
-                raise ShapeMismatch(f"step {k}: gate q={step.gate.q}, circuit q={self.q}")
+            try:
+                _check_gate(step.lens, step.gate, self.q)
+            except ShapeMismatch as exc:
+                raise ShapeMismatch(f"step {k}: {exc}") from None
 
     def run(self, state: State) -> State:
         """Apply every step of the fused circuit, keeping the state curried

@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -48,7 +47,7 @@ def parse_circuit(path: str | Path) -> circuits.Circuit:
     """Load and validate a circuit file; error messages carry field locations."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParseError(f"{path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -201,13 +200,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if len(value) == circ.n and set(value) <= symbols:
         v = tuple(int(c) for c in value)
         final = circ._basis_support(v) or circ.run_basis(v)
-    elif os.path.exists(value):
-        final = circ.run(state_from_text(Path(value).read_text(), circ.q, circ.n))
     else:
-        raise ParseError(
-            f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
-            f"nor a readable state file"
-        )
+        try:
+            text = Path(value).read_text()
+        except (OSError, ValueError):  # ValueError: not UTF-8, or a NUL in the path
+            raise ParseError(
+                f"--input {value!r} is neither a basis string of {circ.n} digits < {circ.q} "
+                f"nor a readable state file"
+            ) from None
+        final = circ.run(state_from_text(text, circ.q, circ.n))
     text = (state_to_text(final, threshold=args.threshold) if isinstance(final, State)
             else support_to_text(circ.n, circ.q, *final, args.threshold))
     if text:
@@ -256,7 +257,10 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     circ = example_circuit(args.name, args.n)
     doc = json.dumps(circuit_to_spec(circ), indent=2)
     if args.out:
-        Path(args.out).write_text(doc + "\n")
+        try:
+            Path(args.out).write_text(doc + "\n")
+        except OSError as exc:
+            raise ParseError(f"--out {args.out}: {exc}") from None
     else:
         print(doc)
     return 0

@@ -29,7 +29,8 @@ class CurriedState:
     """A state reshaped along a lens: blocks[v] is the inner state at outer index v.
 
     blocks has shape (q**outer, q**inner); row order follows the lens wire
-    order, column order the sorted complement wires.
+    order, column order the sorted complement wires.  Like a State's
+    amplitudes, blocks is a read-only copy of what it was built from.
     """
 
     outer: int
@@ -38,7 +39,9 @@ class CurriedState:
     blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _complex_array(self.blocks, "blocks"))
+        blocks = _complex_array(self.blocks, "blocks")
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
         expect = (self.q**self.outer, self.q**self.inner)
         if self.blocks.shape != expect:
             raise ShapeMismatch(f"expected block table {expect}, got {self.blocks.shape}")
@@ -103,12 +106,12 @@ def merge_state(lens: Lens, v: Sequence[int], local: State) -> State:
 
 
 def _check_gate(lens: Lens, gate: Gate, q: int) -> None:
-    if not gate.is_square:
-        raise ShapeMismatch("only square gates can be focused")
-    if gate.wires_in != lens.m:
-        raise ShapeMismatch(f"gate acts on {gate.wires_in} wires, lens selects {lens.m}")
+    """Refuse a gate that is not square on the lens's wires over alphabet q:
+    the one fact that joins a lens to the gate focused along it."""
+    if gate.wires != lens.m:
+        raise ShapeMismatch(f"gate acts on {gate.wires} wires, lens selects {lens.m}")
     if gate.q != q:
-        raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, state q={q}")
+        raise ShapeMismatch(f"alphabet mismatch: gate q={gate.q}, expected q={q}")
 
 
 # A lens block on contiguous axes views the state as (A, q**m, C), C being

@@ -227,18 +227,10 @@ def apply_to_blocks(gate: Gate, blocks: np.ndarray) -> np.ndarray:
     and sums only.  This deliberately literal loop is the reference engine
     behind focusing; the optimized path is validated against it.
     """
-    if not gate.is_square:
-        raise ShapeMismatch("block action requires a square gate")
-    try:
-        arr = np.asarray(blocks)
-    except ValueError:
-        raise ShapeMismatch("blocks must have a uniform shape") from None
-    if arr.dtype == object:
-        raise ShapeMismatch("blocks must have a uniform shape")
-    arr = arr.astype(np.complex128, copy=False)
-    dim = gate.q**gate.wires_in
-    if arr.ndim < 1 or arr.shape[0] != dim:
-        raise ShapeMismatch(f"expected {dim} blocks, got {arr.shape[0] if arr.ndim else 0}")
+    dim = gate.q**gate.wires
+    arr = _complex_array(blocks, "blocks")
+    if arr.shape[0] != dim:
+        raise ShapeMismatch(f"expected {dim} blocks, got {arr.shape[0]}")
     mat = gate.mat
     out = np.zeros_like(arr)
     for i in range(dim):
@@ -253,8 +245,6 @@ def apply_to_blocks(gate: Gate, blocks: np.ndarray) -> np.ndarray:
 
 def unitarity_defect(gate: Gate) -> float:
     """Max-entry deviation of conj(M).T @ M from the identity."""
-    if not gate.is_square:
-        raise ShapeMismatch("unitarity is defined for square gates only")
-    dim = gate.mat.shape[0]
+    dim = gate.q**gate.wires
     gram = gate.mat.conj().T @ gate.mat
     return float(np.max(np.abs(gram - np.eye(dim))))

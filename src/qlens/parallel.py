@@ -9,36 +9,35 @@ commutative and associative.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _collapse, focus_apply, focus_as_gate
+from .focus import _check_gate, _collapse, focus_apply, focus_as_gate
 from .gates import Gate, identity, null
 from .lens import Lens, lens_empty, lens_left, lens_right
 from .state import State
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FocusedGate:
-    """A square gate together with its strictly ascending support lens."""
+    """A square gate together with its strictly ascending support lens.
 
-    __slots__ = ("n", "lens", "gate", "is_err")
+    Equality and hashing are by identity; isclose compares values."""
 
-    def __init__(self, n: int, lens: Lens, gate: Gate, is_err: bool = False):
-        if lens.n != n:
-            raise ShapeMismatch(f"lens codomain {lens.n} != ambient {n}")
-        if not lens.is_sorted():
-            raise ShapeMismatch(f"support lens must be sorted, got {list(lens.idx)}")
-        if not gate.is_square or gate.wires_in != lens.m:
-            raise ShapeMismatch(
-                f"need a square gate on {lens.m} wires, got "
-                f"{gate.wires_in}->{gate.wires_out}"
-            )
-        self.n = n
-        self.lens = lens
-        self.gate = gate
-        self.is_err = is_err
+    n: int
+    lens: Lens
+    gate: Gate
+    is_err: bool = False
+
+    def __post_init__(self):
+        if self.lens.n != self.n:
+            raise ShapeMismatch(f"lens codomain {self.lens.n} != ambient {self.n}")
+        if not self.lens.is_sorted():
+            raise ShapeMismatch(f"support lens must be sorted, got {list(self.lens.idx)}")
+        _check_gate(self.lens, self.gate, self.gate.q)
 
     @property
     def q(self) -> int:

@@ -146,6 +146,19 @@ def support_left_unsorted(monkeypatch):
     monkeypatch.setattr(Circuit, "_basis_support", support)
 
 
+def embedding_sorts_its_lens(monkeypatch):
+    real = Circuit.embedded
+    monkeypatch.setattr(Circuit, "embedded", lambda self, lens: real(
+        self, Lens(lens.n, tuple(sorted(lens.idx)))))
+
+
+def ghz_level_reversed(monkeypatch):
+    # The CNOT of the level on 5 wires has its control and target swapped.
+    real = circuits_module.lens_pair
+    monkeypatch.setattr(circuits_module, "lens_pair", lambda n, i, j: (
+        real(n, j, i) if n == 5 else real(n, i, j)))
+
+
 def last_step_dropped(monkeypatch):
     real = Circuit.run
     monkeypatch.setattr(Circuit, "run", lambda self, state: real(
@@ -168,6 +181,8 @@ FAULTS = {
     rows_carried_forward: ("focus-laws", "basis_run_vs_reference"),
     support_left_unsorted: ("focus-laws", "basis_text_vs_reference"),
     last_step_dropped: ("examples", "ghz_preparation"),
+    embedding_sorts_its_lens: ("focus-laws", "embedding_naturality"),
+    ghz_level_reversed: ("examples", "recursive_definition"),
 }
 
 

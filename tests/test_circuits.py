@@ -80,7 +80,7 @@ class TestCircuitType:
             Circuit(3, (Step(Lens(3, (0, 1)), hadamard()),))
 
     def test_gate_alphabet_validated(self):
-        with pytest.raises(ShapeMismatch, match="gate q=2, circuit q=3"):
+        with pytest.raises(ShapeMismatch, match="step 0: alphabet mismatch: gate q=2, expected q=3"):
             Circuit(3, (Step(Lens(3, (0,)), hadamard()),), 3)
 
     def test_run_arity_validated(self):

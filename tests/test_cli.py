@@ -421,6 +421,33 @@ class TestRunCommand:
         assert main(["run", path, "--input", str(state_path)]) == 2
         assert "no entries" in capsys.readouterr().err
 
+    def test_directory_input_exit_code(self, circuit_file, tmp_path, capsys):
+        path = circuit_file(BIT_FLIP_ENC)
+        assert main(["run", path, "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_state_file_not_utf8_exit_code(self, circuit_file, tmp_path, capsys):
+        path = circuit_file(BIT_FLIP_ENC)
+        state_path = tmp_path / "bad.state"
+        state_path.write_bytes(b"\xff")
+        assert main(["run", path, "--input", str(state_path)]) == 2
+        assert "nor a readable state file" in capsys.readouterr().err
+
+    def test_missing_input_keeps_its_message(self, circuit_file, tmp_path, capsys):
+        path = circuit_file(BIT_FLIP_ENC)
+        missing = str(tmp_path / "missing.state")
+        for value in (missing, "no\0such"):
+            assert main(["run", path, "--input", value]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --input {value!r} is neither a basis string of 3 digits < 2 "
+                f"nor a readable state file\n")
+
+    def test_circuit_file_not_utf8_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"wires": 1, "ops": [], "x": "\xff"}')
+        assert main(["run", str(path), "--input", "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_alphabet_beyond_text_refused_before_run(self, circuit_file, monkeypatch, capsys):
         # Neither the input (here no basis string and no file) is read nor
         # the circuit run: the text format could not print the result.
@@ -532,6 +559,12 @@ class TestExamplesCommand:
         # 1500 levels of the recursive definition, past the interpreter stack.
         assert main(["examples", "ghz", "--n", "1500"]) == 0
         assert len(json.loads(capsys.readouterr().out)["ops"]) == 1501
+
+    def test_out_in_missing_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        assert main(["examples", "ghz", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert not out.parent.exists()
 
     def test_ghz_structure(self):
         circ = example_circuit("ghz", 4)

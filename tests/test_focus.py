@@ -20,11 +20,15 @@ from qlens import (
     all_basis_tuples,
     build_full_matrix,
     cnot,
+    combine,
+    compose,
     curry,
     focus_apply,
     focus_apply_reference,
     focus_as_gate,
     focus_on_basis,
+    focused,
+    from_amplitudes,
     ghz_circuit,
     hadamard,
     identity,
@@ -33,6 +37,7 @@ from qlens import (
     lens_id,
     map_blocks,
     merge_state,
+    parallel_gate,
     random_state,
     reversal_circuit,
     swap,
@@ -149,6 +154,60 @@ class TestUncurry:
         s = uncurry(Lens(2, (1,)), CurriedState(1, 1, 2, np.array([[1, 2], [3, 4]])))
         assert s.amps.dtype == np.complex128
         assert np.array_equal(s.amps, [1, 3, 2, 4])
+
+
+class TestNoWritableMemory:
+    """A returned State, Gate or CurriedState is immutable: no array it
+    holds can be written, by its holder or through a caller's array."""
+
+    def test_blocks_are_read_only(self):
+        # On a lens whose wires are in order uncurry moves no axis, so its
+        # State is a view of the blocks.
+        view = CurriedState(1, 1, 2, np.array([[1, 0], [0, 0]]))
+        s = uncurry(Lens(2, (0,)), view)
+        with pytest.raises(ValueError, match="read-only"):
+            view.blocks[0, 0] = 7
+        assert s.amps[0] == 1
+
+    def test_results_hold_no_writable_memory(self):
+        rng = np.random.default_rng(SEED)
+        inputs = {
+            "amps": rng.standard_normal(8) + 0j,
+            "local": rng.standard_normal(2) + 0j,
+            "blocks": rng.standard_normal((2, 4)) + 0j,
+            "h": np.array(hadamard().mat),
+            "u": random_gate(2, 2, rng).mat.copy(),
+        }
+        s, local = State(3, 2, inputs["amps"]), State(1, 2, inputs["local"])
+        h, u = Gate(inputs["h"]), Gate(inputs["u"])
+        circ = Circuit(3, (Step(Lens(3, (0,)), h), Step(Lens(3, (2, 1)), u),
+                           Step(Lens(3, (0, 1)), cnot())))
+        results = []
+        for lens in (Lens(3, (0,)), Lens(3, (2,)), Lens(3, ())):
+            results += [curry(lens, s), focus_apply(lens, identity(lens.m), s),
+                        focus_apply_reference(lens, identity(lens.m), s)]
+        lens = Lens(3, (0,))
+        results += [
+            uncurry(lens, CurriedState(1, 2, 2, inputs["blocks"])),
+            uncurry(lens, curry(lens, s)),
+            focus_apply(lens, h, s), focus_apply_reference(lens, h, s),
+            merge_state(lens, (0, 1, 0), local), focus_on_basis(lens, h, (1, 0, 1)),
+            focus_as_gate(lens, h), h.apply(local), compose(u, u),
+            from_amplitudes(inputs["amps"]), parallel_gate(h, u),
+            combine(focused(Lens(3, (1, 2)), u), focused(lens, h)).gate,
+        ]
+        for _ in range(2):  # the second call runs with the kept scratch
+            results += [circ.run(s), circ.run_basis((1, 0, 1)), circ.to_gate()]
+        held = []
+        for r in results:
+            if isinstance(r, Gate):
+                held += [r.mat] + ([] if r.rows is None else [r.rows])
+            else:
+                held.append(r.blocks if isinstance(r, CurriedState) else r.amps)
+        for a in held:
+            assert not a.flags.writeable
+            for name, given in inputs.items():
+                assert not np.shares_memory(a, given), name
 
 
 class TestMergeState:

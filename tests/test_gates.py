@@ -373,12 +373,20 @@ class TestBlockAction:
         # numpy keeps ragged blocks it is handed as objects in an object array
         blocks = np.empty(2, dtype=object)
         blocks[0], blocks[1] = np.zeros(2), np.zeros(3)
-        with pytest.raises(ShapeMismatch, match="uniform shape"):
+        with pytest.raises(ShapeMismatch, match="blocks must be an array of numbers"):
             apply_to_blocks(hadamard(), blocks)
 
     def test_square_gate_required(self):
         with pytest.raises(ShapeMismatch):
             apply_to_blocks(gate_from_matrix(np.zeros((4, 2))), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("blocks", [["1", "1j"], [1.0, np.nan], [[1.0], [np.inf]]],
+                             ids=["strings", "nan", "inf"])
+    def test_blocks_must_be_finite_numbers(self, blocks):
+        # The block action takes what State and CurriedState take: numpy
+        # would parse the strings as 1 and 1j, and keep NaN or inf.
+        with pytest.raises(ShapeMismatch, match="blocks must be"):
+            apply_to_blocks(hadamard(), blocks)
 
 
 class TestUnitarity:

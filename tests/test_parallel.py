@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from functools import reduce
 
@@ -111,8 +112,21 @@ class TestFocusedConstruction:
 
         with pytest.raises(ShapeMismatch, match="codomain"):
             FocusedGate(3, Lens(2, (0,)), hadamard())
-        with pytest.raises(ShapeMismatch, match="square gate on 1 wires"):
+        with pytest.raises(ShapeMismatch, match="gate acts on 2 wires, lens selects 1"):
             FocusedGate(3, Lens(3, (0,)), cnot())
+
+    @pytest.mark.parametrize("field", ["is_err", "gate", "lens"])
+    def test_fields_cannot_be_reassigned(self, field):
+        # Reassigning is_err would turn the absorbing element into a gate.
+        err = error_focused(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(err, field, {"is_err": False, "gate": identity(0),
+                                 "lens": Lens(4, ())}[field])
+        assert err.is_err and err.gate.mat.tolist() == [[0]]
+
+    def test_equality_is_identity(self):
+        a, b = identity_focused(3), identity_focused(3)
+        assert a == a and a != b and len({a, b}) == 2
 
 
 class TestFocusedAction:
