@@ -13,12 +13,12 @@ import time
 import numpy as np
 
 from qlens import (
+    Gate,
     Lens,
     assert_equiv,
     build_full_matrix,
     cnot,
     focus_apply,
-    gate_from_matrix,
     ket,
     perm_matrix,
     random_state,
@@ -49,7 +49,7 @@ print("max deviation over 25 random states:", dev)
 # Where the two routes part ways: the dense build scales as 4^n, focusing
 # as 2^n.  Compare one 2-wire gate applied on a 10-wire state.
 rng = np.random.default_rng(2)
-gate = gate_from_matrix(random_unitary(4, rng))
+gate = Gate(random_unitary(4, rng))
 wide = Lens(10, (3, 9))
 state = random_state(10, 2, rng)
 

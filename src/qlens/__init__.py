@@ -19,7 +19,6 @@ from .circuits import (
 from .errors import (
     ArityMismatch,
     DuplicateIndex,
-    EqualIndices,
     IndexOutOfRange,
     InvalidPermutation,
     NotInLens,
@@ -48,7 +47,6 @@ from .gates import (
     builtin,
     cnot,
     compose,
-    gate_from_matrix,
     hadamard,
     identity,
     ket_bra,
@@ -70,7 +68,6 @@ from .lens import (
 from .oracle import (
     assert_equiv,
     build_full_matrix,
-    kron,
     perm_matrix,
     random_unitary,
 )

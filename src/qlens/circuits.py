@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _basis_walk, _check_gate, _collapse, _execute, _plan, curry
+from .focus import _basis_walk, _check_gate, _collapse, _execute, _local, _plan, curry
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
@@ -102,9 +102,7 @@ class Circuit:
         there, and a run_basis after this counts as the plan's second run."""
         index = self._basis_index(v)
         check_working_set(2, self.q**self.n)
-        plan, scratch = self._programs.pop(None, (None, None))
-        if plan is None:
-            plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), None)
+        plan, scratch, _ = self._take_program(None)
         self._programs[None] = (plan, scratch)
         flat, vals, done = _basis_walk(plan, 1, index)
         if done < len(plan):
@@ -146,16 +144,14 @@ class Circuit:
                 items.append(([step], wires, dense))
         built: dict[tuple, Gate] = {}
 
-        def cluster(group: list[Step], wires: dict[int, None]) -> Step:
-            pos = {w: i for i, w in enumerate(wires)}
-            key = tuple((tuple(pos[w] for w in s.lens.idx), s.gate.mat.tobytes())
-                        for s in group)
+        def cluster(group: list[Step], wires: tuple[int, ...]) -> Step:
+            local = _local(wires, ((s.lens, s.gate) for s in group))
+            key = tuple((lens.idx, gate.mat.tobytes()) for lens, gate in local)
             if key not in built:
-                built[key] = _collapse(tuple(wires), self.q,
-                                       ((s.lens, s.gate) for s in group))
-            return Step(Lens._trusted(self.n, tuple(wires)), built[key])
+                built[key] = _collapse(len(wires), self.q, local)
+            return Step(Lens._trusted(self.n, wires), built[key])
 
-        steps = (group[0] if len(group) == 1 else cluster(group, wires)
+        steps = (group[0] if len(group) == 1 else cluster(group, tuple(wires))
                  for group, wires, _ in items)
         out = Circuit(self.n, tuple(steps), self.q)
         out.__dict__["_clusters"] = out.steps
@@ -178,6 +174,16 @@ class Circuit:
         stale."""
         return {}
 
+    def _take_program(self, batch: int | None) -> tuple[tuple, np.ndarray | None, bool]:
+        """Pop this batch size's cache entry, (plan, scratch buffer or None),
+        and whether it was there; an absent entry's plan is made here.  The
+        caller puts the entry back."""
+        plan, scratch = self._programs.pop(batch, (None, None))
+        if plan is None:
+            plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), batch)
+            return plan, None, False
+        return plan, scratch, True
+
     def _run_plan(self, batch: int | None, amps: np.ndarray | None,
                   index: int | None = None) -> np.ndarray:
         """_execute the plan for this batch size (basis kets for ``amps``
@@ -199,12 +205,9 @@ class Circuit:
         finds the entry taken plans again and allocates its own, which costs
         time, not results.  The buffer lives until the circuit is freed.
         """
-        plan, scratch = self._programs.pop(batch, (None, None))
-        first = plan is None
-        if first:
-            plan = _plan(self.n, self.q, ((s.lens, s.gate) for s in self._clusters), batch)
+        plan, scratch, kept = self._take_program(batch)
         out, spare = _execute(self.n, self.q, plan, amps, scratch, index)
-        self._programs[batch] = (plan, None if first else spare)
+        self._programs[batch] = (plan, spare if kept else None)
         return out
 
     def embedded(self, lens: Lens) -> Circuit:

@@ -219,15 +219,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import checks  # here, so that no other command compiles the law suites
     print(f"seed: {args.seed}")
-    scopes = [args.scope]
-    if args.oracle and args.scope not in ("oracle", "all"):
-        scopes.append("oracle")
-    results = []
-    for scope in scopes:
-        results.extend(
-            checks.run_scope(scope, seed=args.seed, trials=args.trials,
-                             max_wires=args.max_wires)
-        )
+    results = checks.run_scope(args.scope, seed=args.seed, trials=args.trials,
+                               max_wires=args.max_wires)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -309,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=_int_at_least(0), default=0)
     check.add_argument("--trials", type=_int_at_least(1), default=200)
     check.add_argument("--max-wires", type=_int_at_least(2), default=None)
-    check.add_argument("--oracle", action="store_true",
-                       help="also run the dense-oracle differential suite")
     check.set_defaults(func=_cmd_check)
 
     ex = sub.add_parser("examples", help="emit a named example circuit file")

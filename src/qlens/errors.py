@@ -26,10 +26,6 @@ class NotInLens(QLensError):
     """A wire index was looked up in a lens that does not contain it."""
 
 
-class EqualIndices(QLensError):
-    """A pair lens was requested with two identical wires."""
-
-
 class ShapeMismatch(QLensError):
     """State, gate, or block dimensions are inconsistent."""
 

@@ -79,8 +79,9 @@ def uncurry(lens: Lens, view: CurriedState) -> State:
 
 
 def map_blocks(phi: Callable[[np.ndarray], np.ndarray], blocks: np.ndarray) -> np.ndarray:
-    """Apply a block map at every outer index; all outputs must share a shape."""
-    rows = [np.asarray(phi(b), dtype=np.complex128) for b in blocks]
+    """Apply a block map at every outer index; all outputs must share a shape
+    and, as a State's amplitudes, be finite numbers."""
+    rows = [_complex_array(phi(b), "block map output", ndmin=0) for b in blocks]
     if rows and any(r.shape != rows[0].shape for r in rows):
         raise ShapeMismatch("block map produced inconsistent shapes")
     return np.stack(rows) if rows else np.zeros_like(blocks)
@@ -455,17 +456,23 @@ def _focus_steps(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
     return _execute(n, q, _plan(n, q, steps, batch), amps)[0]
 
 
-def _collapse(wires: Sequence[int], q: int, steps: Iterable[tuple[Lens, Gate]]) -> Gate:
-    """The dense gate on ``wires``, in their order, of (lens, gate) steps,
-    left to right, whose lenses select among those wires: by focus_comp and
-    focus_lens_comp, their focused action on the identity once each lens is
-    relabelled onto the positions of its wires in ``wires`` (guarded;
-    intended for few wires: monoid bookkeeping, circuit collapse)."""
-    k = len(wires)
-    check_dense_size(k, q)
+def _local(wires: Sequence[int], steps: Iterable[tuple[Lens, Gate]]) -> list[tuple[Lens, Gate]]:
+    """(lens, gate) steps whose lenses select among ``wires``, each lens
+    relabelled onto the positions of its wires in ``wires`` (one position
+    map for all): by focus_comp and focus_lens_comp, _collapse(len(wires),
+    q, _local(wires, steps)) is their dense gate on ``wires``, in that
+    order."""
     pos = {w: i for i, w in enumerate(wires)}
-    local = ((Lens._trusted(k, tuple(pos[w] for w in lens.idx)), gate) for lens, gate in steps)
-    return Gate(_focus_steps(k, q, local, None), k, k, q, _trusted=True)
+    return [(Lens._trusted(len(pos), tuple(pos[w] for w in lens.idx)), gate)
+            for lens, gate in steps]
+
+
+def _collapse(k: int, q: int, steps: Iterable[tuple[Lens, Gate]]) -> Gate:
+    """The dense gate on k wires of (lens, gate) steps on those k wires, left
+    to right: their focused action on the identity (guarded; intended for few
+    wires: monoid bookkeeping, circuit collapse)."""
+    check_dense_size(k, q)
+    return Gate(_focus_steps(k, q, steps, None), k, k, q, _trusted=True)
 
 
 def focus_apply(lens: Lens, gate: Gate, state: State) -> State:
@@ -502,4 +509,4 @@ def focus_as_gate(lens: Lens, gate: Gate) -> Gate:
     Column j is the focused action on the j-th basis vector, computed for
     all columns at once by _collapse (guarded; for small ambient sizes)."""
     _check_gate(lens, gate, gate.q)
-    return _collapse(range(lens.n), gate.q, ((lens, gate),))
+    return _collapse(lens.n, gate.q, ((lens, gate),))

@@ -117,12 +117,6 @@ class Gate:
         return f"Gate({self.wires_in}->{self.wires_out}, q={self.q})"
 
 
-def gate_from_matrix(mat, wires_in: int | None = None, wires_out: int | None = None,
-                     q: int = 2) -> Gate:
-    """Wrap a dense matrix as a Gate, validating its dimensions."""
-    return Gate(mat, wires_in, wires_out, q)
-
-
 def ket_bra(k: State, b: State) -> np.ndarray:
     """Rank-one matrix summand: entry (w, v) = k(v) * b(w).
 

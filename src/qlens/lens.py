@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 from .errors import (
     ArityMismatch,
     DuplicateIndex,
-    EqualIndices,
     IndexOutOfRange,
     NotInLens,
 )
@@ -146,9 +145,7 @@ class Lens:
 
 
 def lens_pair(n: int, i: int, j: int) -> Lens:
-    """Two-wire lens [i, j]; the wires must differ."""
-    if i == j:
-        raise EqualIndices(f"pair lens needs distinct wires, got {i} twice")
+    """Two-wire lens [i, j]; a repeated wire raises DuplicateIndex, as in any lens."""
     return Lens(n, (i, j))
 
 

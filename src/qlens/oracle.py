@@ -20,11 +20,6 @@ from .lens import Lens
 from .state import random_state
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor acts on the more significant wires."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for j, p in enumerate(perm):
@@ -58,8 +53,10 @@ def build_full_matrix(lens: Lens, gate: Gate) -> Gate:
     """Dense matrix of a gate focused at a lens: U(rho)^-1 (M ⊗ I) U(rho).
 
     rho routes the lens wires to the leading positions (complement wires keep
-    their sorted order behind them).  Built from kron and permutation
-    conjugation only — independent of the focusing implementation.
+    their sorted order behind them).  Built from np.kron, whose left factor
+    acts on the more significant wires (here the lens wires), and
+    permutation conjugation only — independent of the focusing
+    implementation.
     """
     if not gate.is_square:
         raise ShapeMismatch("only square gates have a focused dense form")
@@ -69,7 +66,7 @@ def build_full_matrix(lens: Lens, gate: Gate) -> Gate:
     rho = lens.idx + lens.complement.idx
     gather = perm_matrix(n, rho, q)
     scatter = perm_matrix(n, inverse_permutation(rho), q)
-    padded = kron(gate.mat, np.eye(q ** (n - lens.m), dtype=np.complex128))
+    padded = np.kron(gate.mat, np.eye(q ** (n - lens.m), dtype=np.complex128))
     return Gate(scatter.mat @ padded @ gather.mat, n, n, q, _trusted=True)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _check_gate, _collapse, focus_apply, focus_as_gate
+from .focus import _check_gate, _collapse, _local, focus_apply, focus_as_gate
 from .gates import Gate, identity, null
 from .lens import Lens, lens_empty, lens_left, lens_right
 from .state import State
@@ -98,7 +98,7 @@ def parallel_gate(f: Gate, g: Gate) -> Gate:
     if f.q != g.q:
         raise ShapeMismatch(f"alphabet mismatch: q={f.q} vs q={g.q}")
     p, s = f.wires, g.wires
-    return _collapse(range(p + s), f.q, ((lens_right(p, s), g), (lens_left(p, s), f)))
+    return _collapse(p + s, f.q, ((lens_right(p, s), g), (lens_left(p, s), f)))
 
 
 def _combine(n: int, q: int, items: Sequence[FocusedGate]) -> FocusedGate:
@@ -120,7 +120,7 @@ def _combine(n: int, q: int, items: Sequence[FocusedGate]) -> FocusedGate:
         return error_focused(n, q)
     if not items:
         return identity_focused(n, q)
-    gate = _collapse(union, q, ((fg.lens, fg.gate) for fg in items))
+    gate = _collapse(len(union), q, _local(union, ((fg.lens, fg.gate) for fg in items)))
     return FocusedGate(n, Lens._trusted(n, tuple(union)), gate)
 
 

@@ -56,17 +56,17 @@ def check_allocation(n: int, q: int) -> int:
     return _check_size(n, q, MAX_STATE_ENTRIES, "{q}**{n} amplitudes exceeds guard {limit}")
 
 
-def _complex_array(values, what: str) -> np.ndarray:
-    """``values`` as a new contiguous complex128 array of finite entries,
-    or ShapeMismatch.  Numbers of any numeric dtype pass; strings and
-    bytes, which numpy would parse ("1j" -> 1j), do not, nor does what
-    numpy cannot convert (a ragged list)."""
+def _complex_array(values, what: str, ndmin: int = 1) -> np.ndarray:
+    """``values`` as a new contiguous complex128 array of finite entries and
+    at least ``ndmin`` dimensions, or ShapeMismatch.  Numbers of any numeric
+    dtype pass; strings and bytes, which numpy would parse ("1j" -> 1j), do
+    not, nor does what numpy cannot convert (a ragged list)."""
     try:
         a = np.asarray(values)
         if a.dtype.kind in "SU" or (a.dtype.kind == "O"
                                     and any(isinstance(x, (str, bytes)) for x in a.flat)):
             raise TypeError
-        a = np.array(a, dtype=np.complex128, order="C", ndmin=1)
+        a = np.array(a, dtype=np.complex128, order="C", ndmin=ndmin)
     except (TypeError, ValueError):
         raise ShapeMismatch(f"{what} must be an array of numbers") from None
     if not np.isfinite(a).all():

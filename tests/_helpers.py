@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qlens import Lens, Step, build_full_matrix, focus_apply_reference
+from qlens import Circuit, Lens, Step, build_full_matrix, focus_apply_reference
 from qlens.checks import _random_gate as random_gate, _random_lens as random_lens
 
 
@@ -54,3 +54,11 @@ def reference_run(steps, state):
     for lens, gate in _pairs(steps):
         state = focus_apply_reference(lens, gate, state)
     return state
+
+
+def last_step_dropped(monkeypatch):
+    """Planted fault: Circuit.run (a state-file run, not a basis run) drops
+    the circuit's last step."""
+    real = Circuit.run
+    monkeypatch.setattr(Circuit, "run", lambda self, state: real(
+        Circuit(self.n, self.steps[:-1], self.q), state))

@@ -14,6 +14,7 @@ import qlens.parallel as parallel_module
 from qlens import Circuit, Gate, Lens
 from qlens.checks import CheckResult, run_scope
 from qlens.cli import main
+from _helpers import last_step_dropped
 
 
 def merge_ignores_lens_order(monkeypatch):
@@ -64,25 +65,25 @@ def gate_transposed(monkeypatch):
 
 
 def combine_ignores_union_order(monkeypatch):
-    # Operands are placed in concatenation order: combine puts a and b at
-    # their a.idx + b.idx positions, not at their places in the sorted
-    # union (parallel_gate, through the same call, swaps f, g).
-    real = parallel_module._collapse
+    # Operands are placed in concatenation order: combine relabels a and b
+    # onto their a.idx + b.idx positions, not onto their places in the
+    # sorted union.
+    real = parallel_module._local
 
-    def collapse(wires, q, steps):
+    def local(wires, steps):
         steps = list(steps)
-        return real([w for lens, _ in steps for w in lens.idx], q, steps)
+        return real([w for lens, _ in steps for w in lens.idx], steps)
 
-    monkeypatch.setattr(parallel_module, "_collapse", collapse)
+    monkeypatch.setattr(parallel_module, "_local", local)
 
 
-def collapse_relabels_sorted(monkeypatch):
-    # The relabel that every caller of _collapse shares reads the wires in
+def local_reads_wires_sorted(monkeypatch):
+    # The relabel that combine and the fuser share reads the wires in
     # ascending order: only a fused cluster lists its wires unsorted.
-    real = focus_module._collapse
-    for module in (focus_module, circuits_module, parallel_module):
-        monkeypatch.setattr(module, "_collapse",
-                            lambda wires, q, steps: real(sorted(wires), q, steps))
+    real = focus_module._local
+    for module in (circuits_module, parallel_module):
+        monkeypatch.setattr(module, "_local",
+                            lambda wires, steps: real(sorted(wires), steps))
 
 
 def rows_compose_reversed(monkeypatch):
@@ -159,12 +160,6 @@ def ghz_level_reversed(monkeypatch):
         real(n, j, i) if n == 5 else real(n, i, j)))
 
 
-def last_step_dropped(monkeypatch):
-    real = Circuit.run
-    monkeypatch.setattr(Circuit, "run", lambda self, state: real(
-        Circuit(self.n, self.steps[:-1], self.q), state))
-
-
 # fault -> (scope, a law the fault must fail)
 FAULTS = {
     merge_ignores_lens_order: ("lens-laws", "merge_extract"),
@@ -175,7 +170,7 @@ FAULTS = {
     fuser_ignores_commutation: ("focus-laws", "fusion_equivalence"),
     gate_transposed: ("oracle", "oracle_random_unitaries"),
     combine_ignores_union_order: ("monoid", "combine_commutativity"),
-    collapse_relabels_sorted: ("focus-laws", "fusion_equivalence"),
+    local_reads_wires_sorted: ("focus-laws", "fusion_equivalence"),
     rows_compose_reversed: ("focus-laws", "identity_plan_collapse"),
     fill_skips_rows_after_product: ("focus-laws", "identity_plan_collapse"),
     rows_carried_forward: ("focus-laws", "basis_run_vs_reference"),

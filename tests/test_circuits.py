@@ -39,7 +39,7 @@ from qlens import (
 )
 from qlens.checks import _random_cycle, _random_mixed_circuit
 from qlens.circuits import FUSE_WIRES
-from qlens.focus import Gather, Gemm, _focus_steps
+from qlens.focus import Gather, Gemm, _focus_steps, _local
 from qlens.oracle import random_unitary
 import qlens.circuits as circuits_module
 import qlens.cli as cli
@@ -654,7 +654,7 @@ class TestFusion:
             own = [old for old in left if set(old.lens.idx) <= set(st.lens.idx)]
             left = [old for old in left if not any(old is o for o in own)]
             if len(own) > 1:
-                alone = real(st.lens.idx, 2, ((o.lens, o.gate) for o in own))
+                alone = real(st.lens.m, 2, _local(st.lens.idx, ((o.lens, o.gate) for o in own)))
                 assert np.array_equal(st.gate.mat, alone.mat)
         assert not left
 

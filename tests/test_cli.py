@@ -637,11 +637,12 @@ class TestCheckCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_oracle_flag_appends_suite(self, capsys):
-        assert main(["check", "unitarity", "--seed", "3", "--trials", "5",
-                     "--max-wires", "4", "--oracle"]) == 0
-        out = capsys.readouterr().out
-        assert "oracle_random_unitaries" in out
+    def test_oracle_flag_is_a_usage_error(self, capsys):
+        # The oracle suite runs as its own scope, and within "all".
+        assert main(["check", "all", "--oracle"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--oracle" in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["check", "not-a-scope"]) == 2

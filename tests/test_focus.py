@@ -49,7 +49,7 @@ from qlens import (
 import qlens.focus as focus_module
 import qlens.state as state_module
 from qlens.checks import _random_cycle
-from qlens.focus import _focus_steps
+from qlens.focus import _collapse, _focus_steps, _local
 from _helpers import (dense_product, kind, max_entry, random_gate, random_lens, random_steps,
                       reference_run)
 
@@ -935,6 +935,54 @@ class TestMapBlocks:
         blocks = np.array([[1, 0], [0, 0]], dtype=complex)
         with pytest.raises(ShapeMismatch):
             map_blocks(lambda b: b[: 1 + int(b[0].real == 0)], blocks)
+
+    @pytest.mark.parametrize("phi, message", [
+        (lambda b: ["1", "1j"], "array of numbers"),
+        (lambda b: np.nan, "finite"),
+        (lambda b: b * np.inf, "finite"),
+        (lambda b: [1, complex(0, np.inf)], "finite"),
+        (lambda b: np.array([b"1", b"0"]), "array of numbers"),
+        (lambda b: np.array(["1", 2], dtype=object), "array of numbers"),
+        (lambda b: [[1], [1, 2]], "array of numbers"),
+    ], ids=["strings", "nan", "inf", "imaginary_inf", "numeric_bytes", "object_strings",
+            "ragged"])
+    def test_outputs_must_be_finite_numbers(self, phi, message):
+        # Block-map outputs are read as State reads amplitudes: numpy would
+        # parse the strings as 1 and 1j, and keep NaN or inf.
+        with pytest.raises(ShapeMismatch, match=f"block map output must be .*{message}"):
+            map_blocks(phi, np.ones((2, 2)))
+
+    def test_scalar_outputs_keep_their_shape(self):
+        out = map_blocks(lambda b: b.sum(), np.ones((3, 2)))
+        assert out.shape == (3,)
+        assert np.array_equal(out, [2, 2, 2])
+
+
+class TestLocal:
+    """_local relabels steps onto the positions of their wires in a wire
+    list, unsorted or not, so that _collapse gives their gate on that list."""
+
+    def test_relabels_onto_positions(self):
+        g = cnot()
+        local = _local((4, 1, 2), [(Lens(5, (2, 4)), g), (Lens(5, (1, 2)), g)])
+        assert [(lens.n, lens.idx) for lens, _ in local] == [(3, (2, 0)), (3, (1, 2))]
+        assert all(gate is g for _, gate in local)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_collapsed_gate_focused_on_the_wires_is_the_steps(self, q):
+        rng = np.random.default_rng(SEED)
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, min(3, n) + 1))
+            wires = tuple(int(w) for w in rng.permutation(n)[:k])
+            steps = []
+            for _ in range(int(rng.integers(0, 4))):
+                inner = random_lens(len(wires), int(rng.integers(0, len(wires) + 1)), rng)
+                steps.append((Lens(n, tuple(wires[i] for i in inner.idx)),
+                              random_gate(inner.m, q, rng)))
+            gate = _collapse(len(wires), q, _local(wires, steps))
+            s = random_state(n, q, rng)
+            assert focus_apply(Lens(n, wires), gate, s).max_dev(reference_run(steps, s)) <= 1e-10
 
 
 @st.composite

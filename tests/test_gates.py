@@ -16,7 +16,6 @@ from qlens import (
     builtin,
     cnot,
     compose,
-    gate_from_matrix,
     hadamard,
     identity,
     ket,
@@ -60,19 +59,19 @@ TOFFOLI_MATRIX = np.array(
 
 class TestConstruction:
     def test_identity_on_one_wire(self):
-        g = gate_from_matrix(np.eye(2))
+        g = Gate(np.eye(2))
         assert (g.wires_in, g.wires_out) == (1, 1)
         assert g.wires == 1
 
     def test_cnot_matrix_matches_builtin(self):
-        assert np.array_equal(gate_from_matrix(CNOT_MATRIX).mat, cnot().mat)
+        assert np.array_equal(Gate(CNOT_MATRIX).mat, cnot().mat)
 
     def test_toffoli_matrix_matches_builtin(self):
         assert np.array_equal(toffoli().mat, TOFFOLI_MATRIX)
 
     def test_non_power_dimension_rejected(self):
         with pytest.raises(ShapeMismatch):
-            gate_from_matrix(np.zeros((3, 2)))
+            Gate(np.zeros((3, 2)))
 
     @pytest.mark.parametrize("shape, message", [((4,), "2-D"), ((2, 2, 2), "2-D"),
                                                 ((0, 0), "row dimension 0")])
@@ -98,7 +97,6 @@ class TestConstruction:
         g = Gate(np.eye(1), q=1)
         assert (g.wires_in, g.wires_out, g.q) == (0, 0, 1)
 
-    @pytest.mark.parametrize("make", [Gate, gate_from_matrix])
     @pytest.mark.parametrize("mat, message", [
         ([[1, 0], [0, np.nan]], "finite"),
         ([[np.inf, 0], [0, 1]], "finite"),
@@ -113,25 +111,25 @@ class TestConstruction:
     ], ids=["nan", "inf", "imaginary_inf", "object_strings", "ragged", "numeric_str_list",
             "numeric_str_array", "numeric_bytes_array", "object_numeric_str",
             "object_numeric_bytes"])
-    def test_refuses_what_a_state_refuses(self, make, mat, message):
+    def test_refuses_what_a_state_refuses(self, mat, message):
         # A NaN gate would print a state as "nan" lines that
         # state_from_text refuses; bad arrays must not escape as ValueError,
         # and strings are not numbers, even where numpy would parse them.
         with pytest.raises(ShapeMismatch, match=message):
-            make(mat)
+            Gate(mat)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64,
                                        np.complex64, np.complex128])
     def test_accepts_every_numeric_dtype(self, dtype):
         assert np.array_equal(Gate(np.eye(2, dtype=dtype)).mat, np.eye(2))
-        assert np.array_equal(gate_from_matrix([[0, 1], [1.0, 0j]]).mat, [[0, 1], [1, 0]])
+        assert np.array_equal(Gate([[0, 1], [1.0, 0j]]).mat, [[0, 1], [1, 0]])
 
     def test_declared_arity_must_match(self):
         with pytest.raises(ShapeMismatch):
             Gate(np.eye(4), wires_in=1, wires_out=1)
 
     def test_rectangular_gate_allowed(self):
-        g = gate_from_matrix(np.zeros((4, 2)))
+        g = Gate(np.zeros((4, 2)))
         assert (g.wires_in, g.wires_out) == (1, 2)
         assert not g.is_square
         with pytest.raises(ShapeMismatch):
@@ -324,8 +322,8 @@ class TestCompose:
         assert np.array_equal(compose(cnot(), cnot()).mat, np.eye(4))
 
     def test_applies_right_operand_first(self):
-        lower = gate_from_matrix([[0, 0], [1, 0]])  # |0> -> |1>, kills |1>
-        raiser = gate_from_matrix([[0, 1], [0, 0]])  # |1> -> |0>, kills |0>
+        lower = Gate([[0, 0], [1, 0]])  # |0> -> |1>, kills |1>
+        raiser = Gate([[0, 1], [0, 0]])  # |1> -> |0>, kills |0>
         out = compose(raiser, lower).apply(ket((0,)))
         assert out.amplitude((0,)) == 1.0
 
@@ -378,7 +376,7 @@ class TestBlockAction:
 
     def test_square_gate_required(self):
         with pytest.raises(ShapeMismatch):
-            apply_to_blocks(gate_from_matrix(np.zeros((4, 2))), np.zeros((2, 2)))
+            apply_to_blocks(Gate(np.zeros((4, 2))), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("blocks", [["1", "1j"], [1.0, np.nan], [[1.0], [np.inf]]],
                              ids=["strings", "nan", "inf"])
@@ -409,7 +407,7 @@ class TestUnitarity:
 
     def test_square_required(self):
         with pytest.raises(ShapeMismatch):
-            unitarity_defect(gate_from_matrix(np.zeros((4, 2))))
+            unitarity_defect(Gate(np.zeros((4, 2))))
 
 
 class TestExtensionality:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qlens import (
     ArityMismatch,
     DuplicateIndex,
-    EqualIndices,
     IndexOutOfRange,
     Lens,
     NotInLens,
@@ -229,7 +228,8 @@ class TestSpecialLenses:
         assert lens_right(2, 3).n == 5
 
     def test_equal_pair_rejected(self):
-        with pytest.raises(EqualIndices):
+        # A pair is a lens: a repeated wire is refused as in any lens.
+        with pytest.raises(DuplicateIndex):
             lens_pair(3, 1, 1)
 
     def test_pair_out_of_range(self):

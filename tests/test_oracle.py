@@ -20,7 +20,6 @@ from qlens import (
     hadamard,
     identity,
     ket,
-    kron,
     lens_id,
     null,
     perm_matrix,
@@ -58,12 +57,15 @@ def dense_by_merge(lens: Lens, gate: Gate) -> np.ndarray:
 
 
 class TestKron:
+    """np.kron, as build_full_matrix pads a gate with it: the left factor
+    acts on the more significant wires."""
+
     def test_identity_factors(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_hadamard_padded_on_ground_state(self):
         # (H ⊗ I)|00> = (|00> + |10>)/sqrt(2); multiply the 4x4 out by hand
-        out = kron(hadamard().mat, np.eye(2)) @ ket((0, 0)).amps
+        out = np.kron(hadamard().mat, np.eye(2)) @ ket((0, 0)).amps
         want = np.zeros(4, dtype=complex)
         want[0] = want[2] = math.sqrt(0.5)
         assert np.array_equal(out, want)
@@ -71,11 +73,11 @@ class TestKron:
     def test_trivial_factor(self):
         rng = np.random.default_rng(SEED)
         a = rng.standard_normal((4, 4))
-        assert np.array_equal(kron(a, np.eye(1)), a)
+        assert np.array_equal(np.kron(a, np.eye(1)), a)
 
     def test_left_factor_is_most_significant(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = kron(x, np.eye(2)) @ ket((0, 1)).amps
+        out = np.kron(x, np.eye(2)) @ ket((0, 1)).amps
         assert np.array_equal(out, ket((1, 1)).amps)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlens import (
+    Gate,
     Lens,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -19,7 +20,6 @@ from qlens import (
     focus_apply,
     focused,
     ghz_circuit,
-    gate_from_matrix,
     hadamard,
     identity,
     identity_focused,
@@ -389,8 +389,8 @@ class TestComposeActions:
         assert out.max_dev(s) <= 1e-10
 
     def test_highest_index_acts_first(self):
-        lower = focused(lens_single(1, 0), gate_from_matrix([[0, 0], [1, 0]]))
-        raiser = focused(lens_single(1, 0), gate_from_matrix([[0, 1], [0, 0]]))
+        lower = focused(lens_single(1, 0), Gate([[0, 0], [1, 0]]))
+        raiser = focused(lens_single(1, 0), Gate([[0, 1], [0, 0]]))
         out = compose_actions([raiser.apply, lower.apply])(ket((0,)))
         # lower runs first: |0> -> |1>, then raiser: |1> -> |0>
         assert out.amplitude((0,)) == 1.0
