@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .focus import _basis_walk, _check_gate, _collapse, _execute, _local, _plan, curry
+from .focus import (_basis_walk, _check_gate, _collapse, _execute, _local, _plan, _step_walk,
+                    curry)
 from .focus import focus_apply  # noqa: F401  (perfbench/tracing.py patches this name)
 from .gates import Gate, check_dense_size, cnot, hadamard, swap, toffoli
 from .lens import Lens, lens_id, lens_pair, lens_single
@@ -96,17 +97,28 @@ class Circuit:
 
     def _basis_support(self, v: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
         """run_basis(v)'s nonzero amplitudes, bit-identical, as flat indices,
-        sorted, and values, when focus._basis_walk covers the whole plan;
-        else None.  Checks ``v`` and the working set as run_basis does.  The
-        plan goes into the cache entry run_basis reads, a kept scratch stays
-        there, and a run_basis after this counts as the plan's second run."""
+        sorted, and values, when a walk covers the circuit; else None.
+        Checks ``v`` and the working set as run_basis does.
+
+        With at most one dense step, focus._step_walk carries the ket
+        through the circuit's own steps: nothing is fused or planned, and
+        the cache is left alone (the fuser keeps a lone dense step's gate,
+        and index moves are exact, so the fused walk would give the same
+        bits).  Otherwise focus._basis_walk walks the fused plan, which
+        covers it if it holds at most one product; the plan goes into the
+        cache entry run_basis reads, a kept scratch stays there, and a
+        run_basis after this counts as the plan's second run."""
         index = self._basis_index(v)
         check_working_set(2, self.q**self.n)
-        plan, scratch, _ = self._take_program(None)
-        self._programs[None] = (plan, scratch)
-        flat, vals, done = _basis_walk(plan, 1, index)
-        if done < len(plan):
-            return None
+        if sum(s.gate.rows is None for s in self.steps) <= 1:
+            flat, vals = _step_walk(self.n, self.q, ((s.lens, s.gate) for s in self.steps),
+                                    index)
+        else:
+            plan, scratch, _ = self._take_program(None)
+            self._programs[None] = (plan, scratch)
+            flat, vals, done = _basis_walk(plan, 1, index)
+            if done < len(plan):
+                return None
         order = np.argsort(flat, axis=None)
         vals = np.ones(flat.size, np.complex128) if vals is None else vals
         return flat.reshape(-1)[order], vals.reshape(-1)[order]

@@ -191,9 +191,10 @@ def circuit_to_spec(circ: circuits.Circuit) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Print the final state of circ run on --input: a basis string, from
-    its support if the basis walk covers the plan (no state-sized array, no
-    scan), else run without building its ket; or a state file.
-    state_to_text gets only States (perfbench/tracing.py reads their amps)."""
+    its support if a walk covers the circuit (no state-sized array, no
+    scan; with at most one dense step, no fusing and no plan either), else
+    run without building its ket; or a state file.  state_to_text gets
+    only States (perfbench/tracing.py reads their amps)."""
     circ = parse_circuit(args.circuit)
     check_text_alphabet(circ.q)  # before the run whose output it could not print
     value, symbols = args.input, set("0123456789"[: circ.q])

@@ -391,6 +391,42 @@ def _basis_walk(plan: tuple[Gather | Gemm | Rows, ...], cols: int,
     return flat, vals, done
 
 
+def _step_walk(n: int, q: int, steps: Iterable[tuple[Lens, Gate]],
+               index: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The flat indices and values (None: all 1) of the nonzero amplitudes
+    of the ket at ``index`` carried through (lens, gate) steps, at most one
+    of them dense, unfused and unplanned.
+
+    A step reads each index's lens digits by their place values q**(n-1-w)
+    as a local row j of its gate.  A 0/1 permutation moves row j to
+    argsort(rows)[j] (classical_permutation_focus); the dense step expands
+    it as focus_on_basis re-embeds a gate applied locally: mat[:, j] at all
+    q**m local rows.  So the values are _basis_walk's over the fused plan,
+    bit for bit.  On a 2-vCPU Xeon (numpy 2.4.6), a GHZ-20 walk took
+    150-175 us (medians of 15), against 490-535 us to fuse, plan and walk
+    it, and 510-905 us with one Rows(...).moved per step."""
+    flat, vals = np.array([index]), None
+    inverse: dict[Gate, np.ndarray] = {}  # gate -> argsort(gate.rows), by identity
+    digits: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # m -> (row digits, row weights)
+    for lens, gate in steps:
+        m = lens.m
+        if m not in digits:
+            digits[m] = (np.array(list(product(range(q), repeat=m)), np.int64).reshape(q**m, m),
+                         q ** np.arange(m - 1, -1, -1, dtype=np.int64))
+        table, weights = digits[m]
+        place = np.array([q ** (n - 1 - w) for w in lens.idx], np.int64)
+        offset = table @ place
+        j = (flat[:, None] // place % q) @ weights
+        base = flat - offset[j]
+        if gate.rows is None:
+            flat, vals = (base[:, None] + offset).reshape(-1), gate.mat[:, j].T.reshape(-1)
+            continue
+        if gate not in inverse:
+            inverse[gate] = np.argsort(gate.rows)
+        flat = base + offset[inverse[gate][j]]
+    return flat, vals
+
+
 def _execute(n: int, q: int, plan: tuple[Gather | Gemm | Rows, ...],
              amps: np.ndarray | None, scratch: np.ndarray | None = None,
              index: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:

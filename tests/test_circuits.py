@@ -27,10 +27,12 @@ from qlens import (
     ghz_circuit,
     ghz_state,
     hadamard,
+    identity,
     ket,
     lens_pair,
     lens_single,
     marginal,
+    null,
     random_state,
     reversal_circuit,
     shor_components,
@@ -514,12 +516,18 @@ class TestRunBasis:
             ghz_circuit(2).run_basis((0, symbol, 0))
 
 
-def _permutation_ladders(n: int, q: int, rng: np.random.Generator) -> dict:
-    """GHZ (a Fourier gate on wire 0, then a ladder of adders |a, b> ->
-    |a, a + b mod q>: CNOTs at q = 2), the same ladder after a random gate,
-    the adder ladder alone and the reversal, on n wires."""
+def _adder(q: int) -> Gate:
+    """|a, b> -> |a, a + b mod q>: a CNOT at q = 2, its own inverse only there."""
     a, b = np.divmod(np.arange(q * q), q)
-    add = Gate(np.eye(q * q)[a * q + (a + b) % q].T, 2, 2, q)
+    return Gate(np.eye(q * q)[a * q + (a + b) % q].T, 2, 2, q)
+
+
+def _permutation_ladders(n: int, q: int, rng: np.random.Generator) -> dict:
+    """GHZ (a Fourier gate on wire 0, then a ladder of adders), the same
+    ladder after a random gate, the adder ladder alone and the reversal, on
+    n wires."""
+    a, b = np.divmod(np.arange(q * q), q)
+    add = _adder(q)
     swap_q = Gate(np.eye(q * q)[b * q + a], 2, 2, q)
     fourier = Gate(np.exp(2j * np.pi * np.outer(a[:q], a[:q]) / q) / math.sqrt(q), 1, 1, q)
     ladder = tuple(Step(Lens(n, (i, i + 1)), add) for i in range(n - 1))
@@ -531,15 +539,41 @@ def _permutation_ladders(n: int, q: int, rng: np.random.Generator) -> dict:
                                          for i in range(n // 2)), q)}
 
 
+def _one_dense_step(q: int, rng: np.random.Generator) -> dict:
+    """Five-wire circuits whose one dense step sits mid-circuit on the
+    unsorted, non-adjacent lens (3, 1), between permutations that are not
+    their own inverses (adders at q = 3, random cycles) and a 0-wire
+    identity; and the same with a 0-wire scalar, a gate with exact zeros in
+    its columns, or null(1) as the dense step."""
+    n, add = 5, _adder(q)
+
+    def cycle(m: int) -> Gate:
+        return Gate(np.eye(q**m)[_random_cycle(q**m, rng)], m, m, q)
+
+    before = (Step(Lens(n, (0, 1)), add), Step(Lens(n, (4, 2, 0)), cycle(3)),
+              Step(Lens(n, (3,)), cycle(1)))
+    after = (Step(Lens(n, ()), identity(0, q)), Step(Lens(n, (1, 4)), cycle(2)),
+             Step(Lens(n, (2, 3)), add))
+    zeros = rng.standard_normal((q * q, q * q)) + 1j * rng.standard_normal((q * q, q * q))
+    zeros[rng.random(zeros.shape) < 0.4] = 0
+    dense = {"unitary": Step(Lens(n, (3, 1)), random_gate(2, q, rng)),
+             "scalar": Step(Lens(n, ()), Gate(np.array([[0.6 - 0.8j]]), 0, 0, q)),
+             "zeros": Step(Lens(n, (3, 1)), Gate(zeros, 2, 2, q)),
+             "null": Step(Lens(n, (3,)), null(1, q))}
+    return {name: Circuit(n, (*before, step, *after), q) for name, step in dense.items()}
+
+
 class TestBasisSupport:
     """Circuit._basis_support(v) is the support of run_basis(v), bit for
-    bit, wherever the basis walk covers the plan, and its text is
+    bit, wherever a walk covers the circuit, and its text is
     state_to_text's of the dense run."""
 
     THRESHOLDS = (0.0, 0.3, 0.5, 0.8)
 
-    def assert_matches_dense(self, circ, v):
-        support, dense = circ._basis_support(v), circ.run_basis(v)
+    def assert_matches_dense(self, circ, v, support=None):
+        """``support``, circ._basis_support(v) if not given, against
+        run_basis(v)."""
+        support, dense = support or circ._basis_support(v), circ.run_basis(v)
         plan = circ._programs[None][0]
         assert (support is None) == (sum(isinstance(op, Gemm) for op in plan) > 1)
         if support is None:
@@ -574,6 +608,44 @@ class TestBasisSupport:
             for v in [(0,) * n, (q - 1,) * n] + [tuple(map(int, rng.integers(0, q, n)))
                                                  for _ in range(4)]:
                 assert self.assert_matches_dense(circ, v)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("name", ["unitary", "scalar", "zeros", "null"])
+    def test_one_dense_step_walks_the_steps_unplanned(self, monkeypatch, q, name):
+        circ = _one_dense_step(q, np.random.default_rng(SEED))[name]
+
+        def refuse(*args):
+            raise AssertionError("a walk of the circuit's own steps fused or planned")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(circuits_module, "_plan", refuse)
+            patch.setattr(Circuit, "fused", refuse)
+            supports = {v: circ._basis_support(v) for v in all_basis_tuples(circ.n, q)}
+        assert "_programs" not in circ.__dict__ and "_clusters" not in circ.__dict__
+        for v, support in supports.items():
+            assert self.assert_matches_dense(circ, v, support)
+            if name == "null":
+                assert state_module.support_to_text(circ.n, q, *support, 0.0) == ""
+
+    @pytest.mark.parametrize("q, n", [(2, 16), (3, 10)])
+    def test_dense_steps_fused_to_one_product_walk_the_plan(self, q, n):
+        # Two dense steps on wires {0} and {1, 0} fuse to one cluster: the
+        # fused walk covers the plan, and no array of q**n entries is made.
+        rng = np.random.default_rng(SEED)
+        circ = Circuit(n, (Step(Lens(n, (0,)), random_gate(1, q, rng)),
+                           Step(Lens(n, (1, 0)), random_gate(2, q, rng)),
+                           *(Step(Lens(n, (i, i + 1)), _adder(q)) for i in range(1, n - 1))),
+                       q)
+        v = tuple(map(int, rng.integers(0, q, n)))
+        tracemalloc.start()
+        try:
+            support = circ._basis_support(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q**n * 16 / 4
+        assert len(circ._programs[None][0]) > 0
+        assert self.assert_matches_dense(circ, v, support)
 
     def test_checks_the_tuple_and_working_set_as_run_basis_does(self, monkeypatch):
         circ = ghz_circuit(2)

@@ -498,6 +498,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("extra_gate", [False, True], ids=["covered", "fallback"])
     def test_run_plans_once(self, tmp_path, monkeypatch, capsys, extra_gate):
+        # GHZ has one dense step: the step walk covers it, unfused and
+        # unplanned.  A second Hadamard sends the run to the fused walk,
+        # which stops at the second product; run_basis then reuses the
+        # walk's plan.
         path = tmp_path / "ghz.json"
         assert main(["examples", "ghz", "--n", "14", "--out", str(path)]) == 0
         if extra_gate:
@@ -508,6 +512,10 @@ class TestRunCommand:
         real = circuits_module._plan
         monkeypatch.setattr(circuits_module, "_plan",
                             lambda *a: calls.append(a[3]) or real(*a))
+        fusions = []
+        real_fused = Circuit.fused
+        monkeypatch.setattr(Circuit, "fused",
+                            lambda self, k: fusions.append(k) or real_fused(self, k))
         covered = []
         real_support = Circuit._basis_support
 
@@ -519,7 +527,8 @@ class TestRunCommand:
         monkeypatch.setattr(Circuit, "_basis_support", support)
         capsys.readouterr()
         assert main(["run", str(path), "--input", "0" * 15]) == 0
-        assert calls == [None]
+        assert calls == ([None] if extra_gate else [])
+        assert len(fusions) == extra_gate
         assert covered == [not extra_gate]
         assert len(capsys.readouterr().out.splitlines()) == (4 if extra_gate else 2)
 

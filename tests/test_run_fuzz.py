@@ -7,9 +7,10 @@ file of a random state with exact zeros and signed zeros.  Its stdout, read
 back with state_from_text, must match the dense oracle's product to 1e-10
 and the reference pipeline to 1e-12, and the basis string must print the
 bytes that its ket from a state file prints.  So each of the run command's
-three paths is checked: the support (the basis walk covers the plan),
-run_basis (the walk stops at a second product) and the dense run of a
-state file.
+four paths is checked: the support of a walk of the circuit's own steps
+(at most one dense step), the support of the walk of the fused plan (its
+dense steps fuse to at most one product), run_basis (that walk stops at a
+second product) and the dense run of a state file.
 """
 
 import contextlib
